@@ -5,8 +5,10 @@ Each subcommand wraps a library operation and writes its outputs plus a
 output file.  Nothing in the outputs depends on wall-clock time or on the
 ``--threads`` value, so reruns with the same manifest are byte-identical.
 
-Exit codes: 0 on success, 2 for input and format problems, 3 for empty or
-degenerate data, 4 for calibration failure.
+Exit codes: 0 on success; 2 for input and format problems and for invalid
+arguments (such as ``--threads`` below 1, or a calibration ensemble size or
+iteration count below 1 or a negative tolerance); 3 for empty or degenerate
+data; 4 for calibration failure.
 """
 
 from __future__ import annotations
@@ -335,7 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="root random seed (default 0)")
-    common.add_argument("--threads", type=int, default=1, help="worker processes (default 1)")
+    common.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="worker processes, at least 1 (default 1); never more than the usable CPUs or the tasks",
+    )
     common.add_argument("--out", default=".", help="output directory (default current)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -400,6 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ValueError(f"--threads must be at least 1, got {args.threads}")
         return args.func(args)
     except (OSError, InputFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

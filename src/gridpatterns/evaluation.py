@@ -9,7 +9,6 @@ how often a split at least as distant as the observed one arises by chance.
 from __future__ import annotations
 
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -19,6 +18,7 @@ from .distance import TransportSolver, shared_sequence_graph
 from .errors import DegenerateDataError
 from .generator import GeneratorConfig, generate_ensemble
 from .network import Network
+from .parallel import pool_size, process_pool, run_all
 from .patterns import DegreeSequence, Pattern, SizeHistogram, check_degree_sequence, degree_sequence, line_count
 from .rng import derive_seed, substream
 from .zipf import ZipfModel
@@ -168,12 +168,8 @@ def evaluate_model(
     args = [
         (observed_seqs, network, config, permutations, seed, i) for i in range(repetitions)
     ]
-    if workers <= 1:
-        results = [_evaluate_repetition(*a) for a in args]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_evaluate_repetition, *a) for a in args]
-            results = [f.result() for f in futures]
+    with process_pool(pool_size(workers, repetitions)) as pool:
+        results = run_all(pool, _evaluate_repetition, args)
     distances = tuple(r[0] for r in results)
     p_values = tuple(r[1] for r in results)
     return EvaluationReport(distances, p_values, permutations, seed)

@@ -11,17 +11,16 @@ parallel circuit with probability ``p_circuits``.
 
 from __future__ import annotations
 
-import itertools
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from dataclasses import dataclass
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
 from .errors import CalibrationError, InputFormatError
 from .lines import Line, format_line, parse_line
 from .network import Network, partition_attachable
-from .patterns import Pattern, format_pattern, p_one_plus_observed, parse_pattern
+from .parallel import index_chunks, pool_size, process_pool, run_all
+from .patterns import Pattern, degree_sequence, format_pattern, n_one_plus, p_one_plus_observed, parse_pattern
 from .rng import substream
 from .zipf import ZipfModel
 
@@ -100,6 +99,11 @@ class _Sampler:
         idx = int(np.searchsorted(self.cum_weights, rng.random(), side="right"))
         return self.network.lines[min(idx, self.network.n_lines - 1)]
 
+    def seed(self, rng: np.random.Generator) -> tuple[Line, int]:
+        """The first draws of every pattern: its seed line, then its target size."""
+        first = self.initial_line(rng)
+        return first, self.config.size_model.sample_size(rng, self.k_max)
+
 
 def _grow(network: Network, first: Line, target: int, p_one_plus: float, rng) -> set[Line]:
     """Grow a connected line set from ``first`` toward ``target`` lines.
@@ -134,8 +138,9 @@ def generate_pattern(network: Network, config: GeneratorConfig, rng: np.random.G
 def _generate_one(sampler: _Sampler, rng: np.random.Generator) -> GeneratedPattern:
     config = sampler.config
     network = sampler.network
-    first = sampler.initial_line(rng)
-    target = config.size_model.sample_size(rng, sampler.k_max)
+    # Calibration caches the stream state after these two draws and regrows
+    # from it, so nothing before them may depend on p_one_plus.
+    first, target = sampler.seed(rng)
     if target == 1:
         lines = {first}
     else:
@@ -170,19 +175,11 @@ def generate_ensemble(
         raise ValueError("count must be nonnegative")
     if count == 0:
         return []
-    if workers <= 1:
-        return _ensemble_chunk(network, config, 0, count)
-    chunk = max(1, -(-count // (workers * 4)))
-    bounds = list(range(0, count, chunk)) + [count]
-    out: list[GeneratedPattern] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_ensemble_chunk, network, config, lo, hi)
-            for lo, hi in itertools.pairwise(bounds)
-        ]
-        for future in futures:
-            out.extend(future.result())
-    return out
+    processes = pool_size(workers, count)
+    tasks = [(network, config, lo, hi) for lo, hi in index_chunks(count, processes)]
+    with process_pool(processes) as pool:
+        parts = run_all(pool, _ensemble_chunk, tasks)
+    return [generated for part in parts for generated in part]
 
 
 def measure_p_one_plus_generated(generated: Iterable[GeneratedPattern]) -> float | None:
@@ -218,6 +215,35 @@ class CalibrationResult:
     steps: tuple[CalibrationStep, ...]
 
 
+def _seed_chunk(network: Network, config: GeneratorConfig, start: int, stop: int) -> list[tuple[Line, int, dict]]:
+    """Seed line, target and stream state after both, for patterns in [start, stop) with target >= 3.
+
+    A target of 1 or 2 never draws against p_one_plus and never counts in
+    the branching estimator, so calibration can drop those patterns.
+    """
+    sampler = _Sampler(network, config)
+    out = []
+    for i in range(start, stop):
+        rng = substream(config.seed, i)
+        first, target = sampler.seed(rng)
+        if target >= 3:
+            out.append((first, target, rng.bit_generator.state))
+    return out
+
+
+def _branching_counts(network: Network, p_one_plus: float, seeds: list[tuple[Line, int, dict]]) -> tuple[int, int]:
+    """Regrow cached patterns; sum (n_one_plus - 1) and (lines - 2) over those of 3 or more lines."""
+    rng = np.random.Generator(np.random.PCG64())
+    numerator = denominator = 0
+    for first, target, state in seeds:
+        rng.bit_generator.state = state
+        lines = _grow(network, first, target, p_one_plus, rng)
+        if len(lines) >= 3:
+            numerator += n_one_plus(degree_sequence(lines)) - 1
+            denominator += len(lines) - 2
+    return numerator, denominator
+
+
 def calibrate_p_one_plus(
     network: Network,
     config: GeneratorConfig,
@@ -230,28 +256,54 @@ def calibrate_p_one_plus(
 ) -> CalibrationResult:
     """Find the ``p_one_plus`` whose generated value matches the target.
 
-    Bisection on [0, 1].  Every iterate regenerates the ensemble from the
-    same per-pattern streams (config.seed is held fixed), so the generated
-    value is a deterministic, nearly monotone function of the parameter and
-    the bisection is not chasing sampling noise.
+    Bisection on [0, 1].  Every iterate measures the ensemble that
+    :func:`generate_ensemble` would give at its parameter, from the same
+    per-pattern streams (config.seed is held fixed), so the generated value
+    is a deterministic, nearly monotone function of the parameter and the
+    bisection is not chasing sampling noise.  With these common random
+    numbers only patterns of target size 3 or more depend on the parameter
+    or count in the estimator: their seed lines, targets and stream states
+    are drawn once, and each iterate regrows only those patterns.
 
-    Raises CalibrationError when the target lies outside what the network
-    can produce at the endpoints, or when no generated pattern ever has 3
-    or more lines.
+    Raises ValueError for a target outside [0, 1], an ensemble_size or
+    max_iterations below 1, or a negative tolerance.  Raises
+    CalibrationError when the target lies outside what the network can
+    produce at the endpoints, or when no generated pattern ever has 3 or
+    more lines.
     """
     if not 0.0 <= target <= 1.0:
         raise ValueError(f"target must lie in [0, 1], got {target}")
+    if ensemble_size < 1:
+        raise ValueError(f"ensemble_size must be at least 1, got {ensemble_size}")
+    if tolerance < 0:
+        raise ValueError(f"tolerance must be nonnegative, got {tolerance}")
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
+    processes = pool_size(workers, ensemble_size)
+    tasks = [(network, config, lo, hi) for lo, hi in index_chunks(ensemble_size, processes)]
+    with process_pool(processes) as pool:
+        seeds = [part for part in run_all(pool, _seed_chunk, tasks) if part]
+
+        def measure(p: float) -> float:
+            counts = run_all(pool, _branching_counts, [(network, p, part) for part in seeds])
+            denominator = sum(d for _, d in counts)
+            if denominator == 0:
+                raise CalibrationError(
+                    "no generated pattern had 3 or more lines; the network or "
+                    "size model cannot express the branching statistic",
+                    target=target,
+                )
+            return sum(n for n, _ in counts) / denominator
+
+        return _bisect(measure, target, tolerance, max_iterations)
+
+
+def _bisect(measure: Callable[[float], float], target: float, tolerance: float, max_iterations: int) -> CalibrationResult:
+    """Bisect [0, 1] for a p with measure(p) within tolerance of target, recording every evaluation."""
     steps: list[CalibrationStep] = []
 
     def evaluate(p: float, low: float, high: float) -> float:
-        ensemble = generate_ensemble(network, replace(config, p_one_plus=p), ensemble_size, workers)
-        value = measure_p_one_plus_generated(ensemble)
-        if value is None:
-            raise CalibrationError(
-                "no generated pattern had 3 or more lines; the network or "
-                "size model cannot express the branching statistic",
-                target=target,
-            )
+        value = measure(p)
         steps.append(CalibrationStep(len(steps), p, value, low, high))
         return value
 
@@ -274,7 +326,6 @@ def calibrate_p_one_plus(
         )
     increasing = g_high > g_low
     low, high = 0.0, 1.0
-    mid, g_mid = 0.5, g_low
     for _ in range(max_iterations):
         mid = 0.5 * (low + high)
         g_mid = evaluate(mid, low, high)

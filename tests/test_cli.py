@@ -216,6 +216,33 @@ def test_calibrate_unreachable_target_exit_4(tmp_path, path4):
     assert rc == 4
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--max-iterations", 0),
+        ("--ensemble-size", 0),
+        ("--ensemble-size", -3),
+        ("--tolerance", -0.01),
+    ],
+)
+def test_calibrate_bad_arguments_exit_2(tmp_path, path4, flags):
+    network_path = tmp_path / "network.csv"
+    write_network_csv(network_path, path4)
+    rc = _run(
+        "calibrate", "--network", network_path, "--target", 0.9, "--s", 2.0,
+        "--ensemble-size", 400, *flags, "--out", tmp_path / "cal",
+    )
+    assert rc == 2
+    assert not (tmp_path / "cal" / "calibration.json").exists()
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_threads_below_one_exit_2(tmp_path, threads):
+    rc = _run("synth", "--kind", "grid-mesh", "--lines", 40, "--threads", threads, "--out", tmp_path)
+    assert rc == 2
+    assert not (tmp_path / "network.csv").exists()
+
+
 def test_ingest_missing_file_exit_2(tmp_path):
     assert _run("ingest", "--outages", tmp_path / "absent.csv", "--out", tmp_path) == 2
 

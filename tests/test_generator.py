@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter, deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -248,6 +249,12 @@ def test_calibration_unreachable_target(mesh480):
     assert err.high is not None
 
 
+def test_calibration_without_three_line_patterns(path3):
+    # targets are truncated at the 2 network lines, so nothing is regrown
+    with pytest.raises(CalibrationError, match="3 or more lines"):
+        calibrate_p_one_plus(path3, _config(1.5, 0.5, seed=2), 0.5, ensemble_size=500)
+
+
 def test_calibration_endpoint_accepted(star4):
     # stars never branch at degree-1 buses, so the measured value is 0 at
     # every p and the low endpoint matches a target of 0 immediately
@@ -262,6 +269,40 @@ def test_calibration_endpoint_accepted(star4):
 def test_calibration_target_validation(path3):
     with pytest.raises(ValueError):
         calibrate_p_one_plus(path3, _config(2.0, 0.5), 1.5, ensemble_size=100)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"max_iterations": 0},
+        {"max_iterations": -1},
+        {"ensemble_size": 0},
+        {"ensemble_size": -5},
+        {"tolerance": -0.001},
+    ],
+)
+def test_calibration_rejects_bad_arguments(mesh480, kwargs):
+    # max_iterations=0 used to report p_one_plus=0.5 with the value measured
+    # at 0, and ensemble_size=0 a misleading "no pattern had 3 lines"
+    options = {"ensemble_size": 2000, "tolerance": 0.01, "max_iterations": 20, **kwargs}
+    with pytest.raises(ValueError):
+        calibrate_p_one_plus(mesh480, _config(4.09, 0.5, seed=3), 0.4, **options)
+
+
+def test_calibration_matches_full_regeneration_at_every_step(mesh480):
+    # calibration regrows only the patterns whose target is 3 or more, from
+    # stream states cached after the seed-line and size draws; every step
+    # must equal measuring the full ensemble that generate_ensemble gives
+    weights = {line: float(i % 4) for i, line in enumerate(mesh480.lines)}
+    config = _config(3.0, 0.5, p_circuits=0.4, initial_weights=weights, seed=13)
+    size = 3000
+    options = {"ensemble_size": size, "tolerance": 0.0, "max_iterations": 4}
+    result = calibrate_p_one_plus(mesh480, config, 0.5, **options)
+    assert len(result.steps) == 6
+    for step in result.steps:
+        ensemble = generate_ensemble(mesh480, replace(config, p_one_plus=step.p_one_plus), size)
+        assert step.generated_value == measure_p_one_plus_generated(ensemble)
+    assert calibrate_p_one_plus(mesh480, config, 0.5, workers=2, **options) == result
 
 
 def test_saturation_on_small_network(path3):
