@@ -5,31 +5,27 @@ adjacent when one arises from the other by adding or removing a single line.
 The edit distance between two sequences is the shortest path length in that
 graph, and the distance between two pattern sets is the Wasserstein distance
 between their empirical degree-sequence distributions under that ground
-metric, computed exactly as a small transport linear program.
+metric, computed exactly as a minimum-cost flow by successive shortest paths.
 """
 
 from __future__ import annotations
 
 import collections
-import csv
 import functools
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
-from .errors import CapExceededError, DegenerateDataError, InputFormatError
+from .errors import CapExceededError, DegenerateDataError
 from .patterns import (
     DegreeSequence,
     Pattern,
     check_degree_sequence,
     degree_sequence,
-    format_degree_sequence,
     line_count,
-    parse_degree_sequence,
 )
 
 
@@ -290,12 +286,6 @@ class SequenceGraph:
             self._pairs[key] = hit
         return hit
 
-    def distances_from(
-        self, source: Sequence[int], targets: Iterable[Sequence[int]]
-    ) -> dict[DegreeSequence, int]:
-        """Distances from one sequence to each target, keyed canonically."""
-        return {tgt: self.distance(source, tgt) for tgt in {self._check_node(t) for t in targets}}
-
     def distance_matrix(
         self, sources: Sequence[Sequence[int]], targets: Sequence[Sequence[int]]
     ) -> np.ndarray:
@@ -416,34 +406,122 @@ def empirical_distribution(items: Iterable) -> PatternDistribution:
 
 
 class TransportSolver:
-    """Exact minimum-cost transport between distributions on fixed supports.
+    """Exact minimum-cost transport between masses on fixed supports.
 
-    Builds the (n + m) x (n * m) flow-conservation constraint matrix once
-    and re-solves for different marginals, which is what the permutation
-    test needs.
+    Successive shortest paths with node potentials (Ahuja, Magnanti & Orlin,
+    *Network Flows*, 1993) on the bipartite graph of the rows with nonzero
+    supply and the columns with nonzero demand.  Each round runs a dense
+    Dijkstra over reduced costs from every row with supply left until the
+    cheapest path to a column with demand left is settled, then pushes the
+    bottleneck mass along that path; the loop ends when no such path
+    remains.  Integer masses on an integral cost matrix keep every quantity
+    a Python int, so the value is exact; float masses run through the same
+    loop in float arithmetic.
     """
 
     def __init__(self, cost: np.ndarray):
         cost = np.asarray(cost, dtype=float)
         if cost.ndim != 2:
             raise ValueError("cost must be a matrix")
+        if not np.all(np.isfinite(cost)) or np.any(cost < 0):
+            raise ValueError("costs must be finite and nonnegative")
         self.cost = cost
-        n, m = cost.shape
-        size = n * m
-        row_idx = np.concatenate([np.repeat(np.arange(n), m), n + np.tile(np.arange(m), n)])
-        col_idx = np.concatenate([np.arange(size), np.arange(size)])
-        self._a_eq = sparse.csr_matrix(
-            (np.ones(2 * size), (row_idx, col_idx)), shape=(n + m, size)
-        )
-        self._c = cost.ravel()
+        self._cost_rows = cost.tolist()
+        if np.array_equal(cost, np.floor(cost)):
+            self._cost_rows = [[int(c) for c in row] for row in self._cost_rows]
+
+    @staticmethod
+    def _masses(mass, size: int, name: str) -> tuple[list, bool]:
+        """The masses as a list of Python numbers, and whether they are integers."""
+        arr = np.asarray(mass)
+        if arr.shape != (size,):
+            raise ValueError(f"{name} has shape {arr.shape}, but the cost needs ({size},)")
+        exact = arr.dtype.kind in "iu"
+        if not exact:
+            arr = arr.astype(float)
+        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
+            raise ValueError(f"{name} must be finite and nonnegative")
+        return arr.tolist(), exact
 
     def solve(self, p: np.ndarray, q: np.ndarray) -> tuple[float, np.ndarray]:
-        """Minimum transport cost and an optimal plan moving p onto q."""
-        b_eq = np.concatenate([np.asarray(p, float), np.asarray(q, float)])
-        res = linprog(self._c, A_eq=self._a_eq, b_eq=b_eq, method="highs")
-        if res.status != 0:
-            raise RuntimeError(f"transport solve failed: {res.message}")
-        return max(float(res.fun), 0.0), res.x.reshape(self.cost.shape)
+        """Minimum transport cost and an optimal plan moving p onto q.
+
+        The plan's row sums are ``p`` and its column sums are ``q``.  Raises
+        ValueError when a mass does not match the cost shape or is negative,
+        or when the totals differ: exactly for integer masses, by more than
+        1e-9 relative for float ones.
+        """
+        n, m = self.cost.shape
+        supply, exact_p = self._masses(p, n, "p")
+        demand, exact_q = self._masses(q, m, "q")
+        exact = exact_p and exact_q
+        total_p, total_q = sum(supply), sum(demand)
+        if abs(total_p - total_q) > (0 if exact else 1e-9 * max(total_p, total_q)):
+            raise ValueError(f"p totals {total_p} but q totals {total_q}")
+        cost = self._cost_rows
+        rows = [i for i in range(n) if supply[i] > 0]
+        cols = [j for j in range(m) if demand[j] > 0]
+        flow = [[0] * m for _ in range(n)]
+        # node potentials, pot_t that of a common sink behind every column
+        # with demand left; they keep each residual arc's reduced cost >= 0
+        pot_r, pot_c, pot_t = [0] * n, [0] * m, 0
+        while any(supply[i] > 0 for i in rows) and any(demand[j] > 0 for j in cols):
+            dist_r = [0 if supply[i] > 0 else math.inf for i in range(n)]
+            dist_c = [math.inf] * m
+            via_c: dict[int, int] = {}  # column <- row, by a forward arc
+            via_r: dict[int, int] = {}  # row <- column, back along positive flow
+            open_r, open_c = set(rows), set(cols)
+            reach, end = math.inf, -1  # reduced distance to the sink, last column
+            while open_r or open_c:
+                i = min(open_r, key=dist_r.__getitem__, default=None)
+                j = min(open_c, key=dist_c.__getitem__, default=None)
+                if j is None or (i is not None and dist_r[i] <= dist_c[j]):
+                    if dist_r[i] >= reach:
+                        break
+                    open_r.remove(i)
+                    base = dist_r[i] + pot_r[i]
+                    row = cost[i]
+                    for k in open_c:
+                        d = base + row[k] - pot_c[k]
+                        if d < dist_c[k]:
+                            dist_c[k], via_c[k] = d, i
+                else:
+                    if dist_c[j] >= reach:
+                        break
+                    open_c.remove(j)
+                    base = dist_c[j] + pot_c[j]
+                    if demand[j] > 0 and base - pot_t < reach:
+                        reach, end = base - pot_t, j
+                    for k in open_r:
+                        if flow[k][j] > 0:
+                            d = base - cost[k][j] - pot_r[k]
+                            if d < dist_r[k]:
+                                dist_r[k], via_r[k] = d, j
+            # nodes still open when the sink settles are at least as far away
+            for i in rows:
+                pot_r[i] += min(dist_r[i], reach)
+            for j in cols:
+                pot_c[j] += min(dist_c[j], reach)
+            pot_t += reach
+            delta, steps, j = demand[end], [], end
+            while True:
+                i = via_c[j]
+                back = via_r.get(i)
+                steps.append((i, j, back))
+                if back is None:
+                    break
+                delta = min(delta, flow[i][back])
+                j = back
+            delta = min(delta, supply[i])
+            supply[i] -= delta
+            demand[end] -= delta
+            for i, j, back in steps:
+                flow[i][j] += delta
+                if back is not None:
+                    flow[i][back] -= delta
+        value = sum(cost[i][j] * flow[i][j] for i in rows for j in cols if flow[i][j])
+        plan = np.array(flow, dtype=np.int64 if exact else float)
+        return (value if exact else float(value)), plan
 
 
 @dataclass(frozen=True)
@@ -465,7 +543,7 @@ def wasserstein(
 
     The ground metric is the one-line-edit distance.  Returns the distance
     together with an optimal plan; the plan's row sums recover ``p`` and its
-    column sums recover ``q`` up to solver tolerance.
+    column sums recover ``q`` up to float rounding.
     """
     if graph is None:
         graph = shared_sequence_graph(max(p.max_lines, q.max_lines) + 2)
@@ -473,57 +551,3 @@ def wasserstein(
     value, plan = TransportSolver(cost).solve(p.probabilities, q.probabilities)
     return value, TransportPlan(p.support, q.support, plan, value)
 
-
-def write_distribution_csv(path, dist: PatternDistribution) -> None:
-    """Write ``degree_sequence,probability`` rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("degree_sequence", "probability"))
-        for seq, prob in zip(dist.support, dist.probabilities):
-            writer.writerow((format_degree_sequence(seq), f"{prob:.12g}"))
-
-
-def read_distribution_csv(path) -> PatternDistribution:
-    """Read a distribution CSV written by :func:`write_distribution_csv`."""
-    support: list[DegreeSequence] = []
-    probs: list[float] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(c.strip().lower() for c in header) != (
-            "degree_sequence",
-            "probability",
-        ):
-            raise InputFormatError(f"{path}: expected header degree_sequence,probability")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise InputFormatError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
-            try:
-                support.append(parse_degree_sequence(row[0]))
-                probs.append(float(row[1]))
-            except ValueError as exc:
-                raise InputFormatError(f"{path}: line {lineno}: {exc}") from exc
-    if not support:
-        raise DegenerateDataError(f"{path}: empty distribution")
-    total = sum(probs)
-    if abs(total - 1.0) > 1e-6:
-        raise InputFormatError(f"{path}: probabilities sum to {total}, not 1")
-    normalized = np.array(probs, dtype=float)
-    normalized /= normalized.sum()
-    return PatternDistribution(tuple(support), normalized)
-
-
-def write_transport_plan_csv(path, plan: TransportPlan) -> None:
-    """Write ``from_sequence,to_sequence,mass`` rows for nonzero mass."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("from_sequence", "to_sequence", "mass"))
-        for i, src in enumerate(plan.sources):
-            for j, tgt in enumerate(plan.targets):
-                mass = float(plan.matrix[i, j])
-                if mass > 1e-12:
-                    writer.writerow(
-                        (format_degree_sequence(src), format_degree_sequence(tgt), f"{mass:.12g}")
-                    )

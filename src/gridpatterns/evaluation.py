@@ -57,8 +57,9 @@ def permutation_test(
 
     The p-value is (1 + number of permuted splits at least as distant) over
     (permutations + 1), so ties count as extreme and the smallest reachable
-    p-value is 1/(permutations + 1).  The two inputs are ordered canonically
-    first, which makes the result invariant under swapping them.
+    p-value is 1/(permutations + 1).  Every statistic is solved exactly on
+    integer counts, so ties compare exactly.  The two inputs are ordered
+    canonically first, which makes the result invariant under swapping them.
     """
     if permutations < 1:
         raise ValueError("need at least one permutation")
@@ -78,18 +79,22 @@ def permutation_test(
     solver = TransportSolver(graph.distance_matrix(support, support))
     n_support = len(support)
 
-    def statistic(idx: np.ndarray) -> float:
-        p = np.bincount(idx[:n_first], minlength=n_support) / n_first
-        q = np.bincount(idx[n_first:], minlength=n_support) / n_second
-        value, _ = solver.solve(p, q)
+    def statistic(idx: np.ndarray) -> int:
+        # n_first * n_second times the distance between the two halves
+        excess = (
+            np.bincount(idx[:n_first], minlength=n_support) * n_second
+            - np.bincount(idx[n_first:], minlength=n_support) * n_first
+        )
+        # the edit distance is a metric, so mass both halves share stays put
+        value, _ = solver.solve(np.maximum(excess, 0), np.maximum(-excess, 0))
         return value
 
     observed = statistic(pool_idx)
     at_least = 0
     for _ in range(permutations):
-        at_least += statistic(rng.permutation(pool_idx)) >= observed - 1e-12
+        at_least += statistic(rng.permutation(pool_idx)) >= observed
     p_value = (1 + at_least) / (permutations + 1)
-    return PermutationTestResult(observed, p_value, permutations)
+    return PermutationTestResult(observed / (n_first * n_second), p_value, permutations)
 
 
 @dataclass(frozen=True)

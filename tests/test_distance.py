@@ -22,14 +22,11 @@ from gridpatterns.distance import (
     TransportSolver,
     empirical_distribution,
     is_connected_graphical,
-    read_distribution_csv,
     sequence_additions,
     sequence_distance,
     sequence_neighbors,
     sequence_removals,
     wasserstein,
-    write_distribution_csv,
-    write_transport_plan_csv,
 )
 from gridpatterns.errors import CapExceededError, DegenerateDataError
 from gridpatterns.patterns import Pattern, line_count
@@ -328,22 +325,74 @@ def test_transport_solver_reuse():
     assert v2 == pytest.approx(0.0, abs=1e-12)
 
 
-def test_distribution_csv_round_trip(tmp_path):
-    dist = empirical_distribution([(1, 1)] * 3 + [(2, 1, 1)] * 2 + [(2, 2, 2)])
-    path = tmp_path / "dist.csv"
-    write_distribution_csv(path, dist)
-    back = read_distribution_csv(path)
-    assert back.support == dist.support
-    assert np.allclose(back.probabilities, dist.probabilities, atol=1e-10)
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        ([1.0], [0.0, 1.0]),  # p does not match the cost's rows
+        ([1.0, 0.0], [1.0]),  # q does not match the cost's columns
+        ([[1.0, 0.0]], [0.0, 1.0]),  # not a vector
+        ([2.0, -1.0], [0.5, 0.5]),  # negative mass
+        ([1.0, 0.0], [1.5, -0.5]),
+        ([np.nan, 1.0], [0.5, 0.5]),
+        (np.array([1, 2]), np.array([2, 2])),  # integer totals differ by one
+        ([0.5, 0.5], [0.5, 0.5 + 1e-8]),  # float totals beyond 1e-9 relative
+    ],
+)
+def test_transport_solver_rejects_bad_masses(p, q):
+    solver = TransportSolver(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(ValueError):
+        solver.solve(p, q)
 
 
-def test_transport_plan_csv(tmp_path):
-    a = empirical_distribution([(1, 1)] * 9 + [(2, 1, 1)])
-    b = empirical_distribution([(1, 1)] * 10)
-    _, plan = wasserstein(a, b)
-    path = tmp_path / "plan.csv"
-    write_transport_plan_csv(path, plan)
-    body = path.read_text().splitlines()
-    assert body[0] == "from_sequence,to_sequence,mass"
-    total = sum(float(line.rsplit(",", 1)[1]) for line in body[1:])
-    assert total == pytest.approx(1.0, abs=1e-9)
+def test_transport_solver_accepts_float_totals_within_tolerance():
+    solver = TransportSolver(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    value, _ = solver.solve([0.5, 0.5], [0.25, 0.75 + 1e-12])
+    assert value == pytest.approx(0.25, abs=1e-12)
+
+
+@pytest.mark.parametrize("cost", [np.ones(3), np.array([[0.0, -1.0]]), np.array([[0.0, np.inf]])])
+def test_transport_solver_rejects_bad_costs(cost):
+    with pytest.raises(ValueError):
+        TransportSolver(cost)
+
+
+def test_transport_solver_exact_on_integer_counts():
+    """Counts scaled to n_a * n_b give the brute-force optimum times
+    n_a * n_b exactly, as a Python int, with exact marginals."""
+    rng = np.random.default_rng(23)
+    nodes = [seq for lines in range(1, 5) for seq in valid_sequences(4)[lines]]
+    graph = SequenceGraph(8)
+    for _ in range(40):
+        na, nb = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        support_a = [nodes[i] for i in rng.choice(len(nodes), size=na, replace=False)]
+        support_b = [nodes[i] for i in rng.choice(len(nodes), size=nb, replace=False)]
+        counts_a = rng.multinomial(int(rng.integers(1, 30)), np.ones(na) / na)
+        counts_b = rng.multinomial(int(rng.integers(1, 30)), np.ones(nb) / nb)
+        n_a, n_b = int(counts_a.sum()), int(counts_b.sum())
+        cost = graph.distance_matrix(support_a, support_b)
+        value, plan = TransportSolver(cost).solve(counts_a * n_b, counts_b * n_a)
+        expected = brute_force_transport(cost, counts_a / n_a, counts_b / n_b)
+        assert type(value) is int
+        assert value == round(expected * n_a * n_b)
+        assert np.array_equal(plan.sum(axis=1), counts_a * n_b)
+        assert np.array_equal(plan.sum(axis=0), counts_b * n_a)
+        assert value == int((plan * cost.astype(np.int64)).sum())
+
+
+def test_transport_on_excess_equals_full_transport():
+    """Under a sequence metric, moving only the excess of one count vector
+    over the other costs as much as moving the full masses."""
+    rng = np.random.default_rng(29)
+    nodes = [seq for lines in range(1, 5) for seq in valid_sequences(4)[lines]]
+    graph = SequenceGraph(8)
+    for _ in range(40):
+        size = int(rng.integers(1, 7))
+        support = [nodes[i] for i in rng.choice(len(nodes), size=size, replace=False)]
+        solver = TransportSolver(graph.distance_matrix(support, support))
+        a = rng.multinomial(int(rng.integers(1, 40)), np.ones(size) / size)
+        b = rng.multinomial(int(rng.integers(1, 40)), np.ones(size) / size)
+        full, _ = solver.solve(a * b.sum(), b * a.sum())
+        excess = a * b.sum() - b * a.sum()
+        moved, _ = solver.solve(np.maximum(excess, 0), np.maximum(-excess, 0))
+        assert type(moved) is int
+        assert moved == full

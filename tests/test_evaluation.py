@@ -17,6 +17,7 @@ from gridpatterns.evaluation import (
 from gridpatterns.generator import GeneratorConfig, generate_ensemble
 from gridpatterns.patterns import Pattern, size_histogram
 from gridpatterns.rng import substream
+from gridpatterns.synthnet import synthetic_network
 from gridpatterns.zipf import ZipfModel
 
 
@@ -103,6 +104,30 @@ def test_observed_distance_counts_line_changes():
     set_b = [(1, 1), (1, 1), CHAIN3, (2, 1, 1)]
     result = permutation_test(set_a, set_b, permutations=9, rng=substream(1))
     assert result.observed_statistic * 4 == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "lines, network_seed, s, seed, n_a, n_b, expected",
+    [
+        # (observed_statistic, p_value) as the float linear-program transport
+        # solver gave them before the exact integer one replaced it
+        (480, 11, 4.1, 41, 500, 500, (0.03600000000000002, 0.33)),
+        (300, 5, 3.0, 31, 300, 200, (0.07166666666666671, 0.67)),
+        (300, 5, 3.0, 31, 300, 0, (0.0, 1.0)),  # n_b = 0: one set against itself
+    ],
+)
+def test_permutation_test_matches_float_solver_results(lines, network_seed, s, seed, n_a, n_b, expected):
+    network = synthetic_network("grid-mesh", lines, multi_circuit_fraction=0.1, seed=network_seed)
+
+    def sample(stream, n):
+        config = GeneratorConfig(size_model=ZipfModel(s), p_one_plus=0.3, seed=stream)
+        return [g.pattern for g in generate_ensemble(network, config, n)]
+
+    a = sample(seed, n_a)
+    b = sample(seed + 1, n_b) if n_b else list(a)
+    result = permutation_test(a, b, permutations=199, rng=substream(seed + 2))
+    assert result.observed_statistic == pytest.approx(expected[0], rel=1e-12, abs=0.0)
+    assert result.p_value == expected[1]
 
 
 def test_evaluate_model_shape_and_determinism(mesh480):
