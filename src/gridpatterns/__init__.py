@@ -63,7 +63,7 @@ from .ingest import (
     normalize_bus,
     parse_outage_file,
 )
-from .network import Network, attachable_lines, build_network_from_outages
+from .network import Network, build_network_from_outages
 from .patterns import (
     Pattern,
     degree_sequence,
@@ -101,7 +101,6 @@ __all__ = [
     "SequenceGraph",
     "TransportPlan",
     "ZipfModel",
-    "attachable_lines",
     "build_network_from_outages",
     "calibrate_p_one_plus",
     "degree_sequence",

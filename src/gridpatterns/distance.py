@@ -172,7 +172,7 @@ def _alignment_bound(a: DegreeSequence, b: DegreeSequence) -> int:
     minimizing A + R under the constraints gives the bound; its parity
     matches the line-count gap, as any path's length must.
     """
-    delta = line_count(b) - line_count(a)
+    delta = (sum(b) - sum(a)) // 2
     buses = len(b) - len(a)
     cycles = delta - buses
     width = max(len(a), len(b))
@@ -254,7 +254,11 @@ class SequenceGraph:
         return canon
 
     def neighbors(self, seq: Sequence[int]) -> tuple[DegreeSequence, ...]:
-        canon = self._check_node(seq)
+        return self._neighbors(self._check_node(seq))
+
+    def _neighbors(self, canon: DegreeSequence) -> tuple[DegreeSequence, ...]:
+        # the search reaches only canonical connected-graphical nodes within
+        # the cap (additions are filtered below), so it skips _check_node
         cached = self._adj.get(canon)
         if cached is None:
             cap = 2 * self.max_lines
@@ -268,8 +272,9 @@ class SequenceGraph:
 
     def distance(self, a: Sequence[int], b: Sequence[int]) -> int:
         """Shortest one-line-edit path length between two sequences."""
-        ca = self._check_node(a)
-        cb = self._check_node(b)
+        return self._distance(self._check_node(a), self._check_node(b))
+
+    def _distance(self, ca: DegreeSequence, cb: DegreeSequence) -> int:
         if ca == cb:
             return 0
         key = (ca, cb) if ca <= cb else (cb, ca)
@@ -278,11 +283,11 @@ class SequenceGraph:
             lower = _alignment_bound(ca, cb)
             # removals down to a single line and additions back up form a
             # genuine path at any cap, so la + lb - 2 always bounds above
-            upper = line_count(ca) + line_count(cb) - 2
+            upper = (sum(ca) + sum(cb)) // 2 - 2
             if upper == lower:
                 hit = upper
             else:
-                hit = _bounded_search(ca, cb, lower, upper, self.neighbors)
+                hit = _bounded_search(ca, cb, lower, upper, self._neighbors)
             self._pairs[key] = hit
         return hit
 
@@ -295,7 +300,7 @@ class SequenceGraph:
         out = np.zeros((len(src_canon), len(tgt_canon)), dtype=float)
         for i, src in enumerate(src_canon):
             for j, tgt in enumerate(tgt_canon):
-                out[i, j] = self.distance(src, tgt)
+                out[i, j] = self._distance(src, tgt)
         return out
 
 

@@ -5,12 +5,20 @@ size model truncated at the network line count, then grows one adjacent line
 at a time.  At every step the candidate lines split by whether they touch
 the pattern at a bus of degree 1 or of degree 2 and higher; the degree-1
 side is taken with probability ``p_one_plus`` when both sides are
-available.  Finally each multi-circuit line in the pattern picks up an extra
+available, and a line is drawn uniformly from the chosen side in sorted line
+order.  Finally each multi-circuit line in the pattern picks up an extra
 parallel circuit with probability ``p_circuits``.
+
+The two sides are kept as sorted lists of network line ids and updated as
+each line joins, so a growth step costs about the degree of the buses it
+touches, not a rebuild of the whole boundary; heavy-tailed targets on large
+networks stay cheap.  Ids ascend in sorted line order, so ``side[i]`` picks
+the same line as indexing a side rebuilt and sorted by line on every step.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
@@ -18,9 +26,17 @@ import numpy as np
 
 from .errors import CalibrationError, InputFormatError
 from .lines import Line, format_line, parse_line
-from .network import Network, partition_attachable
+from .network import Network
 from .parallel import index_chunks, pool_size, process_pool, run_all
-from .patterns import Pattern, degree_sequence, format_pattern, n_one_plus, p_one_plus_observed, parse_pattern
+from .patterns import (
+    Pattern,
+    _trusted_pattern,
+    degree_sequence,
+    format_pattern,
+    n_one_plus,
+    p_one_plus_observed,
+    parse_pattern,
+)
 from .rng import substream
 from .zipf import ZipfModel
 
@@ -108,26 +124,69 @@ class _Sampler:
 def _grow(network: Network, first: Line, target: int, p_one_plus: float, rng) -> set[Line]:
     """Grow a connected line set from ``first`` toward ``target`` lines.
 
-    Stops early only if both candidate sides are empty, which on a connected
-    network means the pattern already covers every line.
+    A candidate is a network line outside the pattern that touches it.  It
+    lies on the degree-1 side when one of its ends has pattern degree 1, and
+    on the degree-2+ side when one has degree 2 or more, so it can lie on
+    both.  Each side is a sorted list of line ids, and ids ascend in sorted
+    line order, so ``side[i]`` is the i-th candidate in sorted line order.
+    The sides are updated as each line joins: only the lines at a bus whose
+    degree goes from 0 to 1 or from 1 to 2 change sides, so a step costs
+    about the degree of its two buses plus a sorted insert or delete each.
+
+    Draws ``rng.random() < p_one_plus`` only when both sides are non-empty,
+    then a uniform index into the chosen side.  Stops early only if both
+    sides are empty, which on a connected network means the pattern already
+    covers every line.
     """
-    lines = {first}
-    degrees = {first[0]: 1, first[1]: 1}
-    while len(lines) < target:
-        at_deg1, at_deg2 = partition_attachable(network, lines, degrees)
-        if at_deg1 and at_deg2:
-            side = at_deg1 if rng.random() < p_one_plus else at_deg2
-        elif at_deg1:
-            side = at_deg1
-        elif at_deg2:
-            side = at_deg2
+    lines = network.lines
+    incident = network.incident_ids
+    grown: set[int] = set()
+    degrees: dict[str, int] = {}
+    # per candidate id, its ends of pattern degree 1; degrees only rise, so
+    # a candidate with an end of degree >= 2 keeps one until it joins
+    ends_at_1: dict[int, int] = {}
+    on_side2: set[int] = set()
+    side1: list[int] = []
+    side2: list[int] = []
+    line_id = network.line_ids[first]
+    while True:
+        grown.add(line_id)
+        if ends_at_1.get(line_id):
+            del side1[bisect_left(side1, line_id)]
+        if line_id in on_side2:
+            del side2[bisect_left(side2, line_id)]
+        for bus in lines[line_id]:
+            degree = degrees.get(bus, 0)
+            degrees[bus] = degree + 1
+            if degree == 0:
+                for other in incident[bus]:
+                    if other not in grown:
+                        count = ends_at_1.get(other, 0)
+                        ends_at_1[other] = count + 1
+                        if not count:
+                            insort(side1, other)
+            elif degree == 1:
+                for other in incident[bus]:
+                    if other not in grown:
+                        count = ends_at_1[other] - 1
+                        ends_at_1[other] = count
+                        if not count:
+                            del side1[bisect_left(side1, other)]
+                        if other not in on_side2:
+                            on_side2.add(other)
+                            insort(side2, other)
+        if len(grown) >= target:
+            break
+        if side1 and side2:
+            side = side1 if rng.random() < p_one_plus else side2
+        elif side1:
+            side = side1
+        elif side2:
+            side = side2
         else:
             break
-        line = side[int(rng.integers(len(side)))]
-        lines.add(line)
-        for bus in line:
-            degrees[bus] = degrees.get(bus, 0) + 1
-    return lines
+        line_id = side[int(rng.integers(len(side)))]
+    return {lines[i] for i in grown}
 
 
 def generate_pattern(network: Network, config: GeneratorConfig, rng: np.random.Generator) -> GeneratedPattern:
@@ -151,7 +210,7 @@ def _generate_one(sampler: _Sampler, rng: np.random.Generator) -> GeneratedPatte
             if network.multiplicity.get(line, 1) >= 2 and rng.random() < config.p_circuits:
                 extra.append(line)
     return GeneratedPattern(
-        pattern=Pattern(frozenset(lines)),
+        pattern=_trusted_pattern(frozenset(lines)),
         extra_circuits=frozenset(extra),
         target_size=target,
         achieved_size=len(lines),

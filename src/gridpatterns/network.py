@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 from collections import deque
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 from .errors import DegenerateDataError, InputFormatError
 from .ingest import OutageRecord
@@ -54,6 +54,11 @@ class Network:
         self.adjacency: dict[str, tuple[Line, ...]] = {
             bus: tuple(sorted(incident)) for bus, incident in sorted(adjacency.items())
         }
+        # line i is self.lines[i], so ascending ids follow sorted line order
+        self.line_ids: dict[Line, int] = {line: i for i, line in enumerate(canon)}
+        self.incident_ids: dict[str, tuple[int, ...]] = {
+            bus: tuple(self.line_ids[line] for line in incident) for bus, incident in self.adjacency.items()
+        }
         self.buses: frozenset[str] = frozenset(self.adjacency)
         self.multi_circuit_lines: tuple[Line, ...] = tuple(
             line for line in canon if mult[line] >= 2
@@ -91,13 +96,6 @@ class Network:
         return f"Network({self.n_buses} buses, {self.n_lines} lines)"
 
 
-class AttachablePartition(NamedTuple):
-    """Candidate lines for growing a pattern, split by pattern-bus degree."""
-
-    at_degree_1: frozenset[Line]
-    at_degree_2plus: frozenset[Line]
-
-
 def pattern_degrees(pattern_lines: Iterable[Line]) -> dict[str, int]:
     """Degree of each bus inside the subgraph formed by ``pattern_lines``."""
     degrees: dict[str, int] = {}
@@ -105,41 +103,6 @@ def pattern_degrees(pattern_lines: Iterable[Line]) -> dict[str, int]:
         degrees[a] = degrees.get(a, 0) + 1
         degrees[b] = degrees.get(b, 0) + 1
     return degrees
-
-
-def partition_attachable(
-    network: Network, pattern_lines: frozenset[Line] | set[Line], degrees: Mapping[str, int]
-) -> tuple[tuple[Line, ...], tuple[Line, ...]]:
-    """Split the lines adjacent to a pattern by the degree of the bus they touch.
-
-    A candidate line incident to both a degree-1 bus and a degree-2-or-more
-    bus of the pattern appears on both sides.  Each side is sorted so that
-    uniform selection by index is deterministic given a random stream.
-    """
-    at_deg1: set[Line] = set()
-    at_deg2: set[Line] = set()
-    for bus, degree in degrees.items():
-        side = at_deg1 if degree == 1 else at_deg2
-        for line in network.adjacency[bus]:
-            if line not in pattern_lines:
-                side.add(line)
-    return tuple(sorted(at_deg1)), tuple(sorted(at_deg2))
-
-
-def attachable_lines(network: Network, pattern_lines: Iterable[Line]) -> AttachablePartition:
-    """Public wrapper returning the attachable-line partition for a pattern.
-
-    Raises ValueError if the pattern is empty or uses lines outside the
-    network.
-    """
-    pat = frozenset(canonical_line(a, b) for a, b in pattern_lines)
-    if not pat:
-        raise ValueError("pattern has no lines")
-    extra = pat - network.line_set
-    if extra:
-        raise ValueError(f"pattern uses lines outside the network: {sorted(extra)[:3]}")
-    deg1, deg2 = partition_attachable(network, pat, pattern_degrees(pat))
-    return AttachablePartition(frozenset(deg1), frozenset(deg2))
 
 
 def _largest_component(lines: Iterable[Line]) -> set[Line]:

@@ -48,6 +48,18 @@ class Pattern:
         return frozenset(bus for line in self.lines for bus in line)
 
 
+def _trusted_pattern(lines: frozenset[Line]) -> Pattern:
+    """A Pattern built without the checks of ``Pattern.__post_init__``.
+
+    Only for line sets that are non-empty, canonical and connected by
+    construction, such as those the generator grows from network lines.
+    """
+    pattern = object.__new__(Pattern)
+    object.__setattr__(pattern, "lines", lines)
+    object.__setattr__(pattern, "source_minute", None)
+    return pattern
+
+
 def _lines_connected(lines: Iterable[Line]) -> bool:
     adjacency: dict[str, list[str]] = {}
     for a, b in lines:

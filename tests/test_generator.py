@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter, deque
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats
+
+import grow_oracle
 
 from gridpatterns.errors import CalibrationError, InputFormatError
 from gridpatterns.generator import (
@@ -25,9 +28,11 @@ from gridpatterns.generator import (
     read_generated_patterns,
     write_generated_patterns,
 )
+from gridpatterns.lines import Line
 from gridpatterns.network import Network
 from gridpatterns.patterns import Pattern, degree_sequence
 from gridpatterns.rng import substream
+from gridpatterns.synthnet import synthetic_network
 from gridpatterns.zipf import ZipfModel
 
 
@@ -104,6 +109,59 @@ def test_grow_respects_target(mesh480):
         lines = _grow(mesh480, mesh480.lines[0], target, 0.4, rng)
         assert len(lines) == target
         assert _connected(lines)
+
+
+@pytest.fixture(scope="module")
+def ba500() -> Network:
+    return synthetic_network("ba-like", 500, seed=5)
+
+
+def _grow_cases(network: Network, pick) -> list[tuple[Line, int]]:
+    """(seed line, target) pairs: every pair on a tiny network, else sampled targets up to full cover."""
+    n = network.n_lines
+    if n <= 4:
+        return [(first, target) for first in network.lines for target in range(2, n + 2)]
+    cases = []
+    for target in (2, 3, 4, 6, 10, 25, 60):
+        cases += [(network.lines[int(pick.integers(n))], target) for _ in range(8)]
+    for target in (n // 2, n, n + 1):
+        cases.append((network.lines[int(pick.integers(n))], target))
+    return cases
+
+
+@pytest.mark.parametrize("name", ["path3", "path4", "star4", "cycle4", "mesh480", "ba500"])
+def test_grow_matches_rebuild_oracle_draw_for_draw(name, request):
+    # the incremental sides must pick the same lines with the same draws as
+    # rebuilding and sorting them every step, and leave the stream in the
+    # same state, because the p_circuits draws and calibration follow it
+    network = request.getfixturevalue(name)
+    for case, (first, target) in enumerate(_grow_cases(network, substream(97))):
+        for p_one_plus in (0.0, 0.3, 1.0):
+            mine, reference = substream(5, case), substream(5, case)
+            grown = _grow(network, first, target, p_one_plus, mine)
+            assert grown == grow_oracle.grow(network, first, target, p_one_plus, reference)
+            assert mine.bit_generator.state == reference.bit_generator.state
+            assert len(grown) == min(target, network.n_lines)
+
+
+@pytest.mark.parametrize(
+    "case, digest",
+    [
+        ("mesh300", "5cbd2fb258cf231fa52be0bd3478c5210cbb553487d9b2b3429fa2c5ed04e61f"),
+        ("mesh480-weighted", "3efe5d2d32b8870e226c90ab3e0e3f45775258a17847c1d6a0c0eee6121a15d9"),
+    ],
+)
+def test_generated_ensemble_bytes_are_pinned(tmp_path, mesh480, case, digest):
+    # digests recorded from the rebuild-every-step grower; any change to the
+    # draws or picks of generation changes them
+    if case == "mesh300":
+        network, config = synthetic_network("grid-mesh", 300, seed=3), _config(2.0, 0.4, seed=17)
+    else:
+        weights = {line: float(i % 4) for i, line in enumerate(mesh480.lines)}
+        network, config = mesh480, _config(4.1, 0.4054, p_circuits=0.07, initial_weights=weights, seed=23)
+    path = tmp_path / "generated.txt"
+    write_generated_patterns(path, generate_ensemble(network, config, 2000))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_forced_initial_line(star4):

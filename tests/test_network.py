@@ -1,14 +1,15 @@
-"""Network construction, attachable-line partition, and network CSV."""
+"""Network construction, the reference attachable-line partition, and network CSV."""
 
 from datetime import datetime
 
 import pytest
 
+from grow_oracle import attachable_lines
+
 from gridpatterns.errors import DegenerateDataError, InputFormatError
 from gridpatterns.ingest import OutageRecord
 from gridpatterns.network import (
     Network,
-    attachable_lines,
     build_network_from_outages,
     read_network_csv,
     write_network_csv,
@@ -26,6 +27,8 @@ def test_network_basics():
     assert net.n_lines == 2
     assert net.adjacency["B"] == (("A", "B"), ("B", "C"))
     assert net.multiplicity[("A", "B")] == 1
+    assert net.line_ids == {("A", "B"): 0, ("B", "C"): 1}
+    assert net.incident_ids == {"A": (0,), "B": (0, 1), "C": (1,)}
 
 
 def test_network_rejects_disconnected_and_empty():
