@@ -14,11 +14,16 @@ each line joins, so a growth step costs about the degree of the buses it
 touches, not a rebuild of the whole boundary; heavy-tailed targets on large
 networks stay cheap.  Ids ascend in sorted line order, so ``side[i]`` picks
 the same line as indexing a side rebuilt and sorted by line on every step.
+
+Pattern i of an ensemble draws from stream ``(seed, i)``.  A chunk of the
+index range derives its streams' states in bulk and sets each in turn on
+one reused Generator (``rng._substreams``), so a pattern pays for no
+SeedSequence or Generator of its own.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
@@ -37,7 +42,7 @@ from .patterns import (
     p_one_plus_observed,
     parse_pattern,
 )
-from .rng import substream
+from .rng import _restore, _saved, _substreams
 from .zipf import ZipfModel
 
 
@@ -107,13 +112,13 @@ class _Sampler:
             total = weights.sum()
             if total <= 0:
                 raise ValueError("initial weights sum to zero")
-            self.cum_weights = np.cumsum(weights / total)
+            self.cum_weights = np.cumsum(weights / total).tolist()
 
     def initial_line(self, rng: np.random.Generator) -> Line:
         if self.cum_weights is None:
-            return self.network.lines[int(rng.integers(self.network.n_lines))]
-        idx = int(np.searchsorted(self.cum_weights, rng.random(), side="right"))
-        return self.network.lines[min(idx, self.network.n_lines - 1)]
+            return self.network.lines[int(rng.integers(self.k_max))]
+        idx = bisect_right(self.cum_weights, rng.random())
+        return self.network.lines[min(idx, self.k_max - 1)]
 
     def seed(self, rng: np.random.Generator) -> tuple[Line, int]:
         """The first draws of every pattern: its seed line, then its target size."""
@@ -219,7 +224,7 @@ def _generate_one(sampler: _Sampler, rng: np.random.Generator) -> GeneratedPatte
 
 def _ensemble_chunk(network: Network, config: GeneratorConfig, start: int, stop: int) -> list[GeneratedPattern]:
     sampler = _Sampler(network, config)
-    return [_generate_one(sampler, substream(config.seed, i)) for i in range(start, stop)]
+    return [_generate_one(sampler, rng) for rng in _substreams(config.seed, start, stop)]
 
 
 def generate_ensemble(
@@ -274,7 +279,10 @@ class CalibrationResult:
     steps: tuple[CalibrationStep, ...]
 
 
-def _seed_chunk(network: Network, config: GeneratorConfig, start: int, stop: int) -> list[tuple[Line, int, dict]]:
+_Seed = tuple[Line, int, tuple[int, int, int, int]]
+
+
+def _seed_chunk(network: Network, config: GeneratorConfig, start: int, stop: int) -> list[_Seed]:
     """Seed line, target and stream state after both, for patterns in [start, stop) with target >= 3.
 
     A target of 1 or 2 never draws against p_one_plus and never counts in
@@ -282,20 +290,19 @@ def _seed_chunk(network: Network, config: GeneratorConfig, start: int, stop: int
     """
     sampler = _Sampler(network, config)
     out = []
-    for i in range(start, stop):
-        rng = substream(config.seed, i)
+    for rng in _substreams(config.seed, start, stop):
         first, target = sampler.seed(rng)
         if target >= 3:
-            out.append((first, target, rng.bit_generator.state))
+            out.append((first, target, _saved(rng)))
     return out
 
 
-def _branching_counts(network: Network, p_one_plus: float, seeds: list[tuple[Line, int, dict]]) -> tuple[int, int]:
+def _branching_counts(network: Network, p_one_plus: float, seeds: list[_Seed]) -> tuple[int, int]:
     """Regrow cached patterns; sum (n_one_plus - 1) and (lines - 2) over those of 3 or more lines."""
     rng = np.random.Generator(np.random.PCG64())
     numerator = denominator = 0
     for first, target, state in seeds:
-        rng.bit_generator.state = state
+        _restore(rng, state)
         lines = _grow(network, first, target, p_one_plus, rng)
         if len(lines) >= 3:
             numerator += n_one_plus(degree_sequence(lines)) - 1
@@ -322,7 +329,11 @@ def calibrate_p_one_plus(
     bisection is not chasing sampling noise.  With these common random
     numbers only patterns of target size 3 or more depend on the parameter
     or count in the estimator: their seed lines, targets and stream states
-    are drawn once, and each iterate regrows only those patterns.
+    are drawn once, and each iterate regrows only those patterns.  The
+    pre-pass runs every pattern on one reused Generator per chunk, and a
+    cached state is four ints: PCG64's 128-bit state and increment, and
+    the flag and value of the 32-bit half that a uniform seed-line draw
+    leaves buffered for the first draw of growth.
 
     Raises ValueError for a target outside [0, 1], an ensemble_size or
     max_iterations below 1, or a negative tolerance.  Raises

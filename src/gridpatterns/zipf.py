@@ -9,6 +9,7 @@ distribution, hence less propagation past the initial outage.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -100,7 +101,10 @@ class ZipfModel:
         The tail mass beyond k_max collapses onto k_max itself, which keeps
         draws usable as target sizes on a finite network.
         """
-        return int(self.sample_sizes(rng, k_max, 1)[0])
+        if k_max < 1:
+            raise ValueError("k_max must be >= 1")
+        k_max = int(k_max)
+        return min(bisect_left(_size_cdf_list(self.s, k_max), rng.random()) + 1, k_max)
 
     def sample_sizes(self, rng: np.random.Generator, k_max: int, count: int) -> np.ndarray:
         """Vectorized version of :meth:`sample_size`."""
@@ -116,6 +120,12 @@ class ZipfModel:
 def _size_cdf(s: float, k_max: int) -> np.ndarray:
     k = np.arange(1, k_max + 1, dtype=float)
     return np.cumsum(k ** -s / zeta(s))
+
+
+@lru_cache(maxsize=64)
+def _size_cdf_list(s: float, k_max: int) -> list[float]:
+    """:func:`_size_cdf` as a list, for one draw by ``bisect`` with no numpy call."""
+    return _size_cdf(s, k_max).tolist()
 
 
 def log_likelihood(model: ZipfModel, sizes: Sequence[int]) -> float:

@@ -363,6 +363,17 @@ def test_calibration_matches_full_regeneration_at_every_step(mesh480):
     assert calibrate_p_one_plus(mesh480, config, 0.5, workers=2, **options) == result
 
 
+def test_calibration_with_uniform_seed_lines_matches_full_regeneration(mesh480):
+    # the uniform seed-line draw leaves half of a 64-bit output buffered for
+    # the first draw of growth, so the cached state must carry it
+    config = _config(3.0, 0.5, seed=29)
+    size = 2000
+    result = calibrate_p_one_plus(mesh480, config, 0.5, ensemble_size=size, tolerance=0.0, max_iterations=2)
+    for step in result.steps:
+        ensemble = generate_ensemble(mesh480, replace(config, p_one_plus=step.p_one_plus), size)
+        assert step.generated_value == measure_p_one_plus_generated(ensemble)
+
+
 def test_saturation_on_small_network(path3):
     lines = _grow(path3, ("A", "B"), 10, 0.5, substream(1))
     assert lines == {("A", "B"), ("B", "C")}
