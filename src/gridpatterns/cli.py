@@ -8,7 +8,8 @@ output file.  Nothing in the outputs depends on wall-clock time or on the
 Exit codes: 0 on success; 2 for input and format problems and for invalid
 arguments (such as ``--threads`` below 1, or a calibration ensemble size or
 iteration count below 1 or a negative tolerance); 3 for empty or degenerate
-data; 4 for calibration failure.
+data; 4 for calibration failure; 5 for any other error this package raises,
+such as a distance search that exceeds its line-count cap.
 """
 
 from __future__ import annotations
@@ -419,6 +420,9 @@ def main(argv=None) -> int:
     except DegenerateDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except GridPatternsError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -20,13 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapExceededError, DegenerateDataError
-from .patterns import (
-    DegreeSequence,
-    Pattern,
-    check_degree_sequence,
-    degree_sequence,
-    line_count,
-)
+from .patterns import DegreeSequence, _as_sequences, check_degree_sequence, line_count
 
 
 def is_connected_graphical(seq: Sequence[int]) -> bool:
@@ -390,21 +384,11 @@ def empirical_distribution(items: Iterable) -> PatternDistribution:
     ``pattern`` attribute), raw line sets, or degree-sequence tuples.  Extra
     circuits on generated patterns do not change the degree sequence.
     """
-    counts: dict[DegreeSequence, int] = {}
-    total = 0
-    for item in items:
-        if hasattr(item, "pattern"):
-            item = item.pattern
-        if isinstance(item, Pattern):
-            seq = degree_sequence(item)
-        elif isinstance(item, tuple) and item and isinstance(item[0], int):
-            seq = check_degree_sequence(item)
-        else:
-            seq = degree_sequence(item)
-        counts[seq] = counts.get(seq, 0) + 1
-        total += 1
-    if total == 0:
+    seqs = _as_sequences(items)
+    if not seqs:
         raise DegenerateDataError("no patterns to build a distribution from")
+    counts = collections.Counter(seqs)
+    total = len(seqs)
     support = tuple(sorted(counts, key=lambda s: (line_count(s), s)))
     probs = np.array([counts[s] / total for s in support], dtype=float)
     return PatternDistribution(support, probs)

@@ -19,23 +19,9 @@ from .errors import DegenerateDataError
 from .generator import GeneratorConfig, generate_ensemble
 from .network import Network
 from .parallel import pool_size, process_pool, run_all
-from .patterns import DegreeSequence, Pattern, SizeHistogram, check_degree_sequence, degree_sequence, line_count
+from .patterns import DegreeSequence, SizeHistogram, _as_sequences, line_count
 from .rng import derive_seed, substream
 from .zipf import ZipfModel
-
-
-def _as_sequences(items: Iterable) -> list[DegreeSequence]:
-    out: list[DegreeSequence] = []
-    for item in items:
-        if hasattr(item, "pattern"):
-            item = item.pattern
-        if isinstance(item, Pattern):
-            out.append(degree_sequence(item))
-        elif isinstance(item, tuple) and item and isinstance(item[0], int):
-            out.append(check_degree_sequence(item))
-        else:
-            out.append(degree_sequence(item))
-    return out
 
 
 @dataclass(frozen=True)

@@ -15,17 +15,21 @@ touches, not a rebuild of the whole boundary; heavy-tailed targets on large
 networks stay cheap.  Ids ascend in sorted line order, so ``side[i]`` picks
 the same line as indexing a side rebuilt and sorted by line on every step.
 
-Pattern i of an ensemble draws from stream ``(seed, i)``.  A chunk of the
-index range derives its streams' states in bulk and sets each in turn on
-one reused Generator (``rng._substreams``), so a pattern pays for no
-SeedSequence or Generator of its own.
+Pattern i of an ensemble draws from stream ``(seed, i)``.  Its first two
+draws, the seed line and the target, are computed for a block of 1024
+streams at once as uint64 array arithmetic (:meth:`_Sampler.head`, on the
+PCG64 helpers of ``rng``), and so is the circuit draw of a one-line
+pattern.  Most patterns at realistic exponents are one line, and they never
+touch a Generator; only a pattern that grows has its state set on one
+reused Generator, after its first two draws.  Calibration keeps the states
+of just the patterns with target 3 or more.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -42,7 +46,7 @@ from .patterns import (
     p_one_plus_observed,
     parse_pattern,
 )
-from .rng import _restore, _saved, _substreams
+from .rng import _BLOCK, Words, _bounded_uint32, _next_double, _pcg64_next, _pcg64_states, _restore, _saved
 from .zipf import ZipfModel
 
 
@@ -112,18 +116,83 @@ class _Sampler:
             total = weights.sum()
             if total <= 0:
                 raise ValueError("initial weights sum to zero")
-            self.cum_weights = np.cumsum(weights / total).tolist()
+            self.cum_weights = np.cumsum(weights / total)
 
     def initial_line(self, rng: np.random.Generator) -> Line:
         if self.cum_weights is None:
             return self.network.lines[int(rng.integers(self.k_max))]
-        idx = bisect_right(self.cum_weights, rng.random())
+        idx = int(np.searchsorted(self.cum_weights, rng.random(), "right"))
         return self.network.lines[min(idx, self.k_max - 1)]
 
     def seed(self, rng: np.random.Generator) -> tuple[Line, int]:
         """The first draws of every pattern: its seed line, then its target size."""
         first = self.initial_line(rng)
         return first, self.config.size_model.sample_size(rng, self.k_max)
+
+    def head(self, state: Words, inc: Words) -> _Head:
+        """:meth:`seed` on a block of fresh PCG64 streams at once.
+
+        ``state`` and ``inc`` hold the streams' words as
+        :func:`rng._pcg64_states` gives them.  A uniform seed line is numpy's
+        bounded draw on the first output, which leaves that output's high
+        half buffered; a weighted one bisects the first output's double.
+        The target bisects the second output's double.  A stream whose
+        bounded draw rejects, and every stream of a one-line network, whose
+        uniform draw consumes nothing, runs through :meth:`seed` on a
+        Generator instead, so its draws and state stay numpy's.
+        """
+        after, first = _pcg64_next(state, inc)
+        after, second = _pcg64_next(after, inc)
+        targets = self.config.size_model._sizes(_next_double(second), self.k_max)
+        if self.cum_weights is None:
+            line_ids, redo = _bounded_uint32(first, self.k_max)
+            redo |= self.k_max == 1
+            has_uint32, uinteger = np.ones_like(first), first >> np.uint64(32)
+        else:
+            idx = np.searchsorted(self.cum_weights, _next_double(first), "right")
+            line_ids, redo = np.minimum(idx, self.k_max - 1), np.zeros(len(first), bool)
+            has_uint32, uinteger = np.zeros_like(first), np.zeros_like(first)
+        if redo.any():
+            rng = np.random.Generator(np.random.PCG64())
+            for i in np.flatnonzero(redo).tolist():
+                _restore(rng, (_int_at(state, i), _int_at(inc, i), 0, 0))
+                line, targets[i] = self.seed(rng)
+                line_ids[i] = self.network.line_ids[line]
+                words, _, has_uint32[i], uinteger[i] = _saved(rng)
+                after[0][i], after[1][i] = divmod(words, 1 << 64)
+        return _Head(line_ids, targets, after, inc, has_uint32, uinteger)
+
+    def heads(self, start: int, stop: int) -> Iterator[_Head]:
+        """:meth:`head` of the streams ``(config.seed, i)`` for i in [start, stop), one block at a time."""
+        for lo in range(start, stop, _BLOCK):
+            yield self.head(*_pcg64_states(self.config.seed, lo, min(lo + _BLOCK, stop)))
+
+
+def _int_at(words: Words, i: int) -> int:
+    """Entry i of a ``(hi, lo)`` pair of uint64 arrays as one 128-bit int."""
+    return int(words[0][i]) << 64 | int(words[1][i])
+
+
+@dataclass(frozen=True)
+class _Head:
+    """The first two draws of a block of streams, from :meth:`_Sampler.head`.
+
+    Per stream: the seed line's network id, the target size, and the
+    stream's full PCG64 state after both draws, that is, the LCG state and
+    increment as ``(hi, lo)`` uint64 words and numpy's buffered 32-bit half
+    as a flag and a value.
+    """
+
+    line_ids: np.ndarray
+    targets: np.ndarray
+    state: Words
+    inc: Words
+    has_uint32: np.ndarray
+    uinteger: np.ndarray
+
+    def saved(self, i: int) -> tuple[int, int, int, int]:
+        """Stream i's state in the form of :func:`rng._saved`."""
+        return _int_at(self.state, i), _int_at(self.inc, i), int(self.has_uint32[i]), int(self.uinteger[i])
 
 
 def _grow(network: Network, first: Line, target: int, p_one_plus: float, rng) -> set[Line]:
@@ -196,23 +265,22 @@ def _grow(network: Network, first: Line, target: int, p_one_plus: float, rng) ->
 
 def generate_pattern(network: Network, config: GeneratorConfig, rng: np.random.Generator) -> GeneratedPattern:
     """Generate a single pattern, drawing everything from ``rng``."""
-    return _generate_one(_Sampler(network, config), rng)
-
-
-def _generate_one(sampler: _Sampler, rng: np.random.Generator) -> GeneratedPattern:
-    config = sampler.config
-    network = sampler.network
-    # Calibration caches the stream state after these two draws and regrows
-    # from it, so nothing before them may depend on p_one_plus.
+    sampler = _Sampler(network, config)
+    # Calibration and ensembles compute these two draws in bulk and grow
+    # from the stream state after them, so nothing before them may depend
+    # on p_one_plus.
     first, target = sampler.seed(rng)
-    if target == 1:
-        lines = {first}
-    else:
-        lines = _grow(network, first, target, config.p_one_plus, rng)
+    lines = _grow(network, first, target, config.p_one_plus, rng)
+    return _with_circuits(sampler, lines, target, rng.random)
+
+
+def _with_circuits(sampler: _Sampler, lines: set[Line], target: int, draw: Callable[[], float]) -> GeneratedPattern:
+    """A grown line set as a GeneratedPattern; ``draw()`` gives a double per multi-circuit line, in line order."""
+    config = sampler.config
     extra: list[Line] = []
     if config.p_circuits > 0.0:
         for line in sorted(lines):
-            if network.multiplicity.get(line, 1) >= 2 and rng.random() < config.p_circuits:
+            if sampler.network.multiplicity.get(line, 1) >= 2 and draw() < config.p_circuits:
                 extra.append(line)
     return GeneratedPattern(
         pattern=_trusted_pattern(frozenset(lines)),
@@ -224,7 +292,21 @@ def _generate_one(sampler: _Sampler, rng: np.random.Generator) -> GeneratedPatte
 
 def _ensemble_chunk(network: Network, config: GeneratorConfig, start: int, stop: int) -> list[GeneratedPattern]:
     sampler = _Sampler(network, config)
-    return [_generate_one(sampler, rng) for rng in _substreams(config.seed, start, stop)]
+    rng = np.random.Generator(np.random.PCG64())
+    out = []
+    for head in sampler.heads(start, stop):
+        # a one-line pattern's only further draw, its circuit draw, is the
+        # double of the stream's third output
+        circuit_u = _next_double(_pcg64_next(head.state, head.inc)[1]).tolist()
+        for i, (line_id, target) in enumerate(zip(head.line_ids.tolist(), head.targets.tolist())):
+            first = network.lines[line_id]
+            if target == 1:
+                lines, draw = {first}, lambda u=circuit_u[i]: u
+            else:
+                _restore(rng, head.saved(i))
+                lines, draw = _grow(network, first, target, config.p_one_plus, rng), rng.random
+            out.append(_with_circuits(sampler, lines, target, draw))
+    return out
 
 
 def generate_ensemble(
@@ -290,10 +372,9 @@ def _seed_chunk(network: Network, config: GeneratorConfig, start: int, stop: int
     """
     sampler = _Sampler(network, config)
     out = []
-    for rng in _substreams(config.seed, start, stop):
-        first, target = sampler.seed(rng)
-        if target >= 3:
-            out.append((first, target, _saved(rng)))
+    for head in sampler.heads(start, stop):
+        for i in np.flatnonzero(head.targets >= 3).tolist():
+            out.append((network.lines[int(head.line_ids[i])], int(head.targets[i]), head.saved(i)))
     return out
 
 
@@ -330,10 +411,12 @@ def calibrate_p_one_plus(
     numbers only patterns of target size 3 or more depend on the parameter
     or count in the estimator: their seed lines, targets and stream states
     are drawn once, and each iterate regrows only those patterns.  The
-    pre-pass runs every pattern on one reused Generator per chunk, and a
-    cached state is four ints: PCG64's 128-bit state and increment, and
-    the flag and value of the 32-bit half that a uniform seed-line draw
-    leaves buffered for the first draw of growth.
+    pre-pass computes every pattern's two first draws in blocks of uint64
+    array arithmetic (:meth:`_Sampler.head`) and keeps ints for the
+    patterns of target 3 or more alone.  Their cached state is four ints:
+    PCG64's 128-bit state and increment, and the flag and value of the
+    32-bit half that a uniform seed-line draw leaves buffered for the first
+    draw of growth.
 
     Raises ValueError for a target outside [0, 1], an ensemble_size or
     max_iterations below 1, or a negative tolerance.  Raises

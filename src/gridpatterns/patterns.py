@@ -142,6 +142,19 @@ def check_degree_sequence(seq: Sequence[int]) -> DegreeSequence:
     return out
 
 
+def _as_sequences(items: Iterable) -> list[DegreeSequence]:
+    """Degree sequence of each item: a Pattern, anything with a ``pattern`` attribute, a line set, or a degree-sequence tuple."""
+    out: list[DegreeSequence] = []
+    for item in items:
+        if hasattr(item, "pattern"):
+            item = item.pattern
+        if isinstance(item, tuple) and item and isinstance(item[0], int):
+            out.append(check_degree_sequence(item))
+        else:
+            out.append(degree_sequence(item))
+    return out
+
+
 def line_count(seq: Sequence[int]) -> int:
     """Number of lines in a pattern with this degree sequence."""
     total = sum(check_degree_sequence(seq))

@@ -9,7 +9,6 @@ distribution, hence less propagation past the initial outage.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -103,29 +102,24 @@ class ZipfModel:
         """
         if k_max < 1:
             raise ValueError("k_max must be >= 1")
-        k_max = int(k_max)
-        return min(bisect_left(_size_cdf_list(self.s, k_max), rng.random()) + 1, k_max)
+        return int(self._sizes(rng.random(), int(k_max)))
 
     def sample_sizes(self, rng: np.random.Generator, k_max: int, count: int) -> np.ndarray:
         """Vectorized version of :meth:`sample_size`."""
         if k_max < 1:
             raise ValueError("k_max must be >= 1")
-        cdf = _size_cdf(self.s, int(k_max))
-        u = rng.random(count)
-        idx = np.searchsorted(cdf, u, side="left")
-        return np.minimum(idx + 1, int(k_max)).astype(np.int64)
+        return self._sizes(rng.random(count), int(k_max))
+
+    def _sizes(self, u: np.ndarray, k_max: int) -> np.ndarray:
+        """Sizes by inverse transform of uniform doubles ``u``: the least k with cdf(k) >= u, capped at ``k_max >= 1``."""
+        idx = np.searchsorted(_size_cdf(self.s, k_max), u, side="left")
+        return np.minimum(idx + 1, k_max).astype(np.int64)
 
 
 @lru_cache(maxsize=64)
 def _size_cdf(s: float, k_max: int) -> np.ndarray:
     k = np.arange(1, k_max + 1, dtype=float)
     return np.cumsum(k ** -s / zeta(s))
-
-
-@lru_cache(maxsize=64)
-def _size_cdf_list(s: float, k_max: int) -> list[float]:
-    """:func:`_size_cdf` as a list, for one draw by ``bisect`` with no numpy call."""
-    return _size_cdf(s, k_max).tolist()
 
 
 def log_likelihood(model: ZipfModel, sizes: Sequence[int]) -> float:

@@ -12,6 +12,7 @@ import json
 import pytest
 
 from gridpatterns import cli
+from gridpatterns.errors import CapExceededError
 from gridpatterns.generator import read_generated_patterns
 from gridpatterns.ingest import read_generations_csv
 from gridpatterns.network import Network, read_network_csv, write_network_csv
@@ -202,6 +203,22 @@ def test_calibrate_command(pipeline, tmp_path):
     trace = (tmp_path / "cal" / "calibration_trace.txt").read_text()
     assert trace.startswith("target: 0.500000")
     assert "step 0:" in trace
+
+
+def test_other_package_error_exit_5(pipeline, tmp_path, monkeypatch, capsys):
+    # an error outside the documented classes, such as a capped distance
+    # search, must still end in an exit code and not a traceback
+    def capped(*args, **kwargs):
+        raise CapExceededError("no path within 7 lines")
+
+    monkeypatch.setattr(cli.evaluation, "evaluate_model", capped)
+    rc = _run(
+        "evaluate", "--network", pipeline["ingest"] / "network.csv",
+        "--patterns", pipeline["extract"] / "patterns.txt",
+        "--s", 4.0, "--p-one-plus", 0.3, "--out", tmp_path,
+    )
+    assert rc == 5
+    assert capsys.readouterr().err == "error: no path within 7 lines\n"
 
 
 def test_calibrate_unreachable_target_exit_4(tmp_path, path4):

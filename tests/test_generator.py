@@ -18,6 +18,7 @@ from gridpatterns.generator import (
     GeneratedPattern,
     GeneratorConfig,
     _grow,
+    _Sampler,
     calibrate_p_one_plus,
     format_calibration_trace,
     format_generated_pattern,
@@ -31,7 +32,7 @@ from gridpatterns.generator import (
 from gridpatterns.lines import Line
 from gridpatterns.network import Network
 from gridpatterns.patterns import Pattern, degree_sequence
-from gridpatterns.rng import substream
+from gridpatterns.rng import _restore, _saved, substream
 from gridpatterns.synthnet import synthetic_network
 from gridpatterns.zipf import ZipfModel
 
@@ -162,6 +163,114 @@ def test_generated_ensemble_bytes_are_pinned(tmp_path, mesh480, case, digest):
     path = tmp_path / "generated.txt"
     write_generated_patterns(path, generate_ensemble(network, config, 2000))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.fixture(scope="module")
+def head_networks() -> dict[int, Network]:
+    """Networks by line count, for the bulk first draws."""
+    nets = {n: Network([(f"B{i:02d}", f"B{i + 1:02d}") for i in range(n)]) for n in (1, 2, 3)}
+    nets.update({n: synthetic_network("grid-mesh", n, seed=2) for n in (300, 2000)})
+    return nets
+
+
+def _head_sampler(network: Network, weighted: bool, s: float = 3.0, seed: int = 0) -> _Sampler:
+    weights = {line: float((i + 1) % 4) for i, line in enumerate(network.lines)} if weighted else None
+    return _Sampler(network, _config(s, 0.4, initial_weights=weights, seed=seed))
+
+
+def _seed_draws(sampler: _Sampler, rng: np.random.Generator) -> tuple[int, int, tuple]:
+    """The per-pattern first draws: seed-line id, target, then the full stream state after both."""
+    first, target = sampler.seed(rng)
+    return sampler.network.line_ids[first], target, _saved(rng)
+
+
+def _head_rows(heads) -> list[tuple[int, int, tuple]]:
+    return [(int(h.line_ids[i]), int(h.targets[i]), h.saved(i)) for h in heads for i in range(len(h.targets))]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**63 + 5, 2**160 + 3])
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("k_max", [1, 2, 3, 300, 2000])
+def test_heads_match_per_pattern_seed_draws(head_networks, k_max, weighted, seed):
+    # the first range crosses the 1024-stream block edge, the second the
+    # switch from derived stream states to numpy's at index 2**32
+    sampler = _head_sampler(head_networks[k_max], weighted, seed=seed)
+    for start, stop in [(0, 1030), (2**32 - 3, 2**32 + 6)]:
+        expected = [_seed_draws(sampler, substream(seed, i)) for i in range(start, stop)]
+        assert _head_rows(sampler.heads(start, stop)) == expected
+
+
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_INC = 0x5851F42D4C957F2D14057B7EF767814F
+
+
+def _fresh_state_with_output(k: int, x: int) -> int:
+    """A PCG64 state whose k-th next output is ``x``, with increment _INC.
+
+    XSL-RR does not rotate a state whose top six bits are 0 and outputs the
+    xor of its two words; stepping back k times inverts the LCG.
+    """
+    hi = 0x0123456789ABCDEF
+    state, inverse = hi << 64 | (hi ^ x), pow(_PCG_MULT, -1, 1 << 128)
+    for _ in range(k):
+        state = (state - _INC) * inverse % (1 << 128)
+    return state
+
+
+def _head_of_states(sampler: _Sampler, states: list[int]):
+    def words(values):
+        return (np.array([v >> 64 for v in values], np.uint64), np.array([v & (2**64 - 1) for v in values], np.uint64))
+
+    return sampler.head(words(states), words([_INC] * len(states)))
+
+
+def _fresh_draws(sampler: _Sampler, state: int) -> tuple[int, int, tuple]:
+    rng = np.random.Generator(np.random.PCG64())
+    _restore(rng, (state, _INC, 0, 0))
+    return _seed_draws(sampler, rng)
+
+
+@pytest.mark.parametrize("k_max", [3, 300, 2000])
+def test_head_redraws_where_the_bounded_draw_rejects(head_networks, k_max):
+    # a first output with low half 0 rejects for any line count that is not
+    # a power of two, so numpy draws the buffered high half next
+    sampler = _head_sampler(head_networks[k_max], weighted=False)
+    states = [_fresh_state_with_output(1, high << 32) for high in (0, 1, 2**31 + 7, 2**32 - 1)]
+    states.append(_fresh_state_with_output(1, 12345))
+    assert _head_rows([_head_of_states(sampler, states)]) == [_fresh_draws(sampler, s) for s in states]
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_head_size_ties_break_like_the_scalar_draw(head_networks, weighted):
+    # a size double equal to a cdf entry must give that entry's size, the
+    # least k with cdf(k) >= u; doubles in [0.5, 1) are multiples of 2**-53,
+    # so every such entry is a possible draw
+    sampler = _head_sampler(head_networks[300], weighted, s=2.0)
+    cdf = np.cumsum(np.arange(1, 301, dtype=float) ** -2.0 / ZipfModel(2.0).zeta_s)
+    ties = [float(c) for c in cdf[:40] if c >= 0.5]
+    states = [_fresh_state_with_output(2, int(u * 2**53) << 11) for u in ties]
+    rows = _head_rows([_head_of_states(sampler, states)])
+    assert rows == [_fresh_draws(sampler, s) for s in states]
+    assert [row[1] for row in rows] == [int(np.searchsorted(cdf, u, "left")) + 1 for u in ties]
+
+
+@pytest.mark.parametrize("p_circuits", [0.0, 0.07, 1.0])
+def test_one_line_patterns_draw_circuits_like_the_scalar_path(mesh480, p_circuits):
+    # most s=4.1 patterns are one line; their circuit draw comes from the
+    # block arithmetic, not a Generator
+    config = _config(4.1, 0.4, p_circuits=p_circuits, seed=19)
+    count = 1500
+    ensemble = generate_ensemble(mesh480, config, count)
+    assert ensemble == [generate_pattern(mesh480, config, substream(19, i)) for i in range(count)]
+    doubled = [gp for gp in ensemble if gp.achieved_size == 1 and mesh480.multiplicity.get(min(gp.pattern.lines), 1) >= 2]
+    assert len(doubled) > 20
+    extra = sum(1 for gp in doubled if gp.extra_circuits)
+    if p_circuits == 0.0:
+        assert extra == 0
+    elif p_circuits == 1.0:
+        assert extra == len(doubled)
+    else:
+        assert 0 < extra < len(doubled)
 
 
 def test_forced_initial_line(star4):

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from gridpatterns.rng import _BLOCK, _pcg64_states, _substreams, derive_seed, substream
+from gridpatterns.rng import (
+    _bounded_uint32,
+    _next_double,
+    _pcg64_next,
+    _pcg64_states,
+    _saved,
+    derive_seed,
+    substream,
+)
 
 
 def test_same_key_same_stream():
@@ -48,12 +56,18 @@ def _numpy_state(seed, i):
     return state["state"], state["inc"]
 
 
+def _ints(words):
+    """A (hi, lo) pair of uint64 arrays as a list of 128-bit ints."""
+    return [int(hi) << 64 | int(lo) for hi, lo in zip(*words)]
+
+
 @pytest.mark.parametrize("seed", [0, 7, 2**63 + 5, derive_seed(0, 1), 2**160 + 3, np.int64(7)])
 def test_pcg64_states_match_numpy(seed):
     # one-word spawn keys are derived in the package, two-word ones (2**32
     # and up) by numpy; the second range straddles the switch
     for start, stop in [(0, 40), (2**32 - 3, 2**32 + 6), (2**32 + 5, 2**32 + 6), (123_456_789, 123_456_800)]:
-        assert _pcg64_states(seed, start, stop) == [_numpy_state(seed, i) for i in range(start, stop)]
+        state, inc = _pcg64_states(seed, start, stop)
+        assert list(zip(_ints(state), _ints(inc))) == [_numpy_state(seed, i) for i in range(start, stop)]
 
 
 @pytest.mark.parametrize("seed, start", [(-1, 0), (5, -1)])
@@ -65,11 +79,34 @@ def test_pcg64_states_refuse_what_substream_refuses(seed, start):
     assert str(raised.value) == str(expected.value)
 
 
-def test_substreams_equal_fresh_substreams():
-    # integers() leaves half of a 64-bit output buffered; the next stream
-    # must start without it, across a block boundary of the derivation
-    start, stop = _BLOCK - 4, _BLOCK + 6
-    reused = [rng.integers(1000, size=3).tolist() for rng in _substreams(31, start, stop)]
-    fresh = [substream(31, i).integers(1000, size=3).tolist() for i in range(start, stop)]
-    assert reused == fresh
+@pytest.mark.parametrize("seed", [0, 2**160 + 3])
+def test_outputs_and_doubles_match_numpy(seed):
+    # the range straddles the switch from derived to numpy-given states
+    state, inc = _pcg64_states(seed, 2**32 - 20, 2**32 + 20)
+    outputs, doubles = [], []
+    for _ in range(3):
+        state, x = _pcg64_next(state, inc)
+        outputs.append(x.tolist())
+        doubles.append(_next_double(x).tolist())
+    for j, i in enumerate(range(2**32 - 20, 2**32 + 20)):
+        assert [column[j] for column in outputs] == substream(seed, i).bit_generator.random_raw(3).tolist()
+        assert [column[j] for column in doubles] == substream(seed, i).random(3).tolist()
 
+
+@pytest.mark.parametrize("n", [2**31 + 1, 3 * 2**30])
+def test_bounded_draw_matches_numpy_integers(n):
+    # about half of the draws reject at n = 2**31 + 1, and a quarter at
+    # 3 * 2**30; a draw that does not reject must leave numpy's state: one
+    # step on, with the output's high half buffered
+    count = 400
+    state, inc = _pcg64_states(11, 0, count)
+    after, x = _pcg64_next(state, inc)
+    values, rejected = _bounded_uint32(x, n)
+    assert 0.1 * count < rejected.sum() < 0.7 * count
+    for i, (step, increment, output) in enumerate(zip(_ints(after), _ints(inc), x.tolist())):
+        rng = substream(11, i)
+        value = int(rng.integers(n))
+        kept = _saved(rng) == (step, increment, 1, output >> 32)
+        assert kept != rejected[i]
+        if kept:
+            assert value == values[i]
