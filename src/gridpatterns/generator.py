@@ -33,8 +33,8 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import CalibrationError, InputFormatError
-from .lines import Line, format_line, parse_line
+from .errors import CalibrationError
+from .lines import Line, format_line
 from .network import Network
 from .parallel import index_chunks, pool_size, process_pool, run_all
 from .patterns import (
@@ -44,7 +44,6 @@ from .patterns import (
     format_pattern,
     n_one_plus,
     p_one_plus_observed,
-    parse_pattern,
 )
 from .rng import _BLOCK, Words, _bounded_uint32, _next_double, _pcg64_next, _pcg64_states, _restore, _saved
 from .zipf import ZipfModel
@@ -517,47 +516,9 @@ def format_generated_pattern(generated: GeneratedPattern) -> str:
     return text
 
 
-def parse_generated_pattern(text: str) -> GeneratedPattern:
-    """Parse one line of a generated-ensemble file.
-
-    Reading recovers the lines and extra circuits; the target size is not
-    stored, so it is taken to equal the achieved size.
-    """
-    parts = text.strip().split("|")
-    lines = parse_pattern(parts[0])
-    extra: set[Line] = set()
-    for token in parts[1:]:
-        if not token.startswith("+"):
-            raise ValueError(f"malformed extra-circuit token: {token!r}")
-        extra.add(parse_line(token[1:]))
-    if not extra <= lines:
-        raise ValueError("extra circuit on a line not in the pattern")
-    return GeneratedPattern(
-        pattern=Pattern(frozenset(lines)),
-        extra_circuits=frozenset(extra),
-        target_size=len(lines),
-        achieved_size=len(lines),
-    )
-
-
 def write_generated_patterns(path, generated: Iterable[GeneratedPattern]) -> None:
     """Write one generated pattern per line in input order."""
     with open(path, "w", newline="") as fh:
         for gp in generated:
             fh.write(format_generated_pattern(gp))
             fh.write("\n")
-
-
-def read_generated_patterns(path) -> list[GeneratedPattern]:
-    """Read a file written by :func:`write_generated_patterns`."""
-    out: list[GeneratedPattern] = []
-    with open(path) as fh:
-        for lineno, text in enumerate(fh, start=1):
-            text = text.strip()
-            if not text:
-                continue
-            try:
-                out.append(parse_generated_pattern(text))
-            except ValueError as exc:
-                raise InputFormatError(f"{path}: line {lineno}: {exc}") from exc
-    return out

@@ -4,9 +4,16 @@ A line is an unordered pair of distinct bus names, stored as a tuple sorted
 lexicographically so that equal lines compare equal everywhere.  Multiple
 physical circuits on the same tower pair are represented by one line plus a
 multiplicity kept on the network.
+
+:func:`components` is the package's one connected-components walk: a
+pattern is a component of one generation's lines, and a network is the
+largest component of the lines ever outaged.
 """
 
 from __future__ import annotations
+
+from collections import deque
+from typing import Iterable
 
 Line = tuple[str, str]
 
@@ -52,3 +59,38 @@ def parse_line(text: str) -> Line:
     if len(parts) != 2 or not parts[0] or not parts[1]:
         raise ValueError(f"malformed line token: {text!r}")
     return canonical_line(parts[0], parts[1])
+
+
+def components(lines: Iterable[Line]) -> list[tuple[set[Line], set[Line]]]:
+    """Connected components of a set of canonical lines, as ``(lines, tree)``.
+
+    A breadth-first walk starts at each smallest bus not yet reached, takes
+    buses first in, first out, and visits each bus's lines in the order they
+    were given.  ``tree`` holds the line by which each other bus of the
+    component was first reached, so it has one line fewer than the
+    component has buses.  Components come in order of their smallest bus.
+    """
+    adjacency: dict[str, list[Line]] = {}
+    for line in lines:
+        adjacency.setdefault(line[0], []).append(line)
+        adjacency.setdefault(line[1], []).append(line)
+    seen: set[str] = set()
+    out: list[tuple[set[Line], set[Line]]] = []
+    for start in sorted(adjacency):
+        if start in seen:
+            continue
+        seen.add(start)
+        comp: set[Line] = set()
+        tree: set[Line] = set()
+        queue = deque([start])
+        while queue:
+            bus = queue.popleft()
+            for line in adjacency[bus]:
+                comp.add(line)
+                other = line[1] if line[0] == bus else line[0]
+                if other not in seen:
+                    seen.add(other)
+                    tree.add(line)
+                    queue.append(other)
+        out.append((comp, tree))
+    return out

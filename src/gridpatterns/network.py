@@ -2,18 +2,19 @@
 
 Multiple circuits between the same pair of buses are collapsed into a single
 line whose multiplicity records the distinct circuit count.  All pattern
-extraction and generation happens on this single-line graph.
+extraction and generation happens on this single-line graph.  Connectivity
+is decided by the one component walk, :func:`lines.components`: a network
+is one component, and the network of an outage history is its largest.
 """
 
 from __future__ import annotations
 
 import csv
-from collections import deque
 from typing import Iterable, Mapping
 
 from .errors import DegenerateDataError, InputFormatError
 from .ingest import OutageRecord
-from .lines import Line, canonical_line, check_serializable_bus
+from .lines import Line, canonical_line, check_serializable_bus, components
 
 
 class Network:
@@ -63,21 +64,8 @@ class Network:
         self.multi_circuit_lines: tuple[Line, ...] = tuple(
             line for line in canon if mult[line] >= 2
         )
-        if not self._is_connected():
+        if len(components(canon)) > 1:
             raise ValueError("network is not connected")
-
-    def _is_connected(self) -> bool:
-        start = next(iter(self.buses))
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            bus = queue.popleft()
-            for line in self.adjacency[bus]:
-                other = line[1] if line[0] == bus else line[0]
-                if other not in seen:
-                    seen.add(other)
-                    queue.append(other)
-        return len(seen) == len(self.buses)
 
     @property
     def n_lines(self) -> int:
@@ -105,41 +93,6 @@ def pattern_degrees(pattern_lines: Iterable[Line]) -> dict[str, int]:
     return degrees
 
 
-def _largest_component(lines: Iterable[Line]) -> set[Line]:
-    """Lines of the largest connected component.
-
-    Largest is judged by line count, then bus count, then smallest bus name,
-    so the choice is deterministic.
-    """
-    adjacency: dict[str, list[Line]] = {}
-    for line in lines:
-        adjacency.setdefault(line[0], []).append(line)
-        adjacency.setdefault(line[1], []).append(line)
-    unvisited = set(adjacency)
-    best: tuple[int, int, str] | None = None
-    best_lines: set[Line] = set()
-    while unvisited:
-        start = min(unvisited)
-        comp_buses = {start}
-        comp_lines: set[Line] = set()
-        queue = deque([start])
-        while queue:
-            bus = queue.popleft()
-            for line in adjacency[bus]:
-                comp_lines.add(line)
-                other = line[1] if line[0] == bus else line[0]
-                if other not in comp_buses:
-                    comp_buses.add(other)
-                    queue.append(other)
-        unvisited -= comp_buses
-        key = (len(comp_lines), len(comp_buses), min(comp_buses))
-        # min() on the name ranks earlier names higher for the tie break
-        if best is None or key[:2] > best[:2] or (key[:2] == best[:2] and key[2] < best[2]):
-            best = key
-            best_lines = comp_lines
-    return best_lines
-
-
 def build_network_from_outages(
     records: Iterable[OutageRecord], exclusions: Iterable[Line] = ()
 ) -> Network:
@@ -148,7 +101,8 @@ def build_network_from_outages(
     Every line ever outaged becomes a network line; its multiplicity is the
     number of distinct circuit identifiers seen for it across the whole
     history.  Excluded lines are removed, then the largest connected
-    component is retained.
+    component is retained: the most lines, then the most buses, then the
+    smallest bus name.
     """
     circuits: dict[Line, set[str]] = {}
     for rec in records:
@@ -159,7 +113,9 @@ def build_network_from_outages(
         circuits.pop(canonical_line(*line), None)
     if not circuits:
         raise DegenerateDataError("all lines were excluded")
-    keep = _largest_component(circuits)
+    # components come in order of their smallest bus, and max() keeps the
+    # first of equal keys; a tree has one line fewer than its buses
+    keep, _ = max(components(circuits), key=lambda comp: (len(comp[0]), len(comp[1])))
     return Network(keep, {line: len(circuits[line]) for line in keep})
 
 
@@ -179,7 +135,10 @@ def write_network_csv(path, network: Network) -> None:
 
 
 def read_network_csv(path) -> Network:
-    """Read a network CSV written by :func:`write_network_csv`."""
+    """Read a network CSV written by :func:`write_network_csv`.
+
+    Bus names the writers would reject are rejected here, with the row.
+    """
     lines: list[Line] = []
     multiplicity: dict[Line, int] = {}
     with open(path, newline="") as fh:
@@ -197,7 +156,7 @@ def read_network_csv(path) -> Network:
             if len(row) != 3:
                 raise InputFormatError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
             try:
-                line = canonical_line(row[0], row[1])
+                line = canonical_line(check_serializable_bus(row[0]), check_serializable_bus(row[1]))
                 count = int(row[2])
             except ValueError as exc:
                 raise InputFormatError(f"{path}: line {lineno}: {exc}") from exc

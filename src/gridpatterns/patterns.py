@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from .errors import DegenerateDataError, InputFormatError
 from .ingest import GenerationGroup
-from .lines import Line, canonical_line, format_line, parse_line
+from .lines import Line, canonical_line, components, format_line, parse_line
 from .network import Network, pattern_degrees
 
 DegreeSequence = tuple[int, ...]
@@ -34,7 +34,7 @@ class Pattern:
         for line in self.lines:
             if not (isinstance(line, tuple) and len(line) == 2 and line[0] < line[1]):
                 raise ValueError(f"line {line!r} is not in canonical form")
-        if not _lines_connected(self.lines):
+        if len(components(self.lines)) > 1:
             raise ValueError("pattern lines do not form a connected subgraph")
 
     def __len__(self) -> int:
@@ -48,34 +48,17 @@ class Pattern:
         return frozenset(bus for line in self.lines for bus in line)
 
 
-def _trusted_pattern(lines: frozenset[Line]) -> Pattern:
+def _trusted_pattern(lines: frozenset[Line], source_minute: datetime | None = None) -> Pattern:
     """A Pattern built without the checks of ``Pattern.__post_init__``.
 
     Only for line sets that are non-empty, canonical and connected by
-    construction, such as those the generator grows from network lines.
+    construction, such as those the generator grows from network lines and
+    the components :func:`split_into_patterns` takes of them.
     """
     pattern = object.__new__(Pattern)
     object.__setattr__(pattern, "lines", lines)
-    object.__setattr__(pattern, "source_minute", None)
+    object.__setattr__(pattern, "source_minute", source_minute)
     return pattern
-
-
-def _lines_connected(lines: Iterable[Line]) -> bool:
-    adjacency: dict[str, list[str]] = {}
-    for a, b in lines:
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
-    if not adjacency:
-        return False
-    stack = [next(iter(adjacency))]
-    seen = set(stack)
-    while stack:
-        bus = stack.pop()
-        for other in adjacency[bus]:
-            if other not in seen:
-                seen.add(other)
-                stack.append(other)
-    return len(seen) == len(adjacency)
 
 
 def split_into_patterns(group: GenerationGroup, network: Network) -> list[Pattern]:
@@ -88,29 +71,9 @@ def split_into_patterns(group: GenerationGroup, network: Network) -> list[Patter
     extra = group.lines - network.line_set
     if extra:
         raise ValueError(f"generation references lines outside the network: {sorted(extra)[:3]}")
-    adjacency: dict[str, list[Line]] = {}
-    for line in group.lines:
-        adjacency.setdefault(line[0], []).append(line)
-        adjacency.setdefault(line[1], []).append(line)
-    unvisited_buses = set(adjacency)
-    components: list[frozenset[Line]] = []
-    while unvisited_buses:
-        start = min(unvisited_buses)
-        comp_lines: set[Line] = set()
-        comp_buses = {start}
-        stack = [start]
-        while stack:
-            bus = stack.pop()
-            for line in adjacency[bus]:
-                comp_lines.add(line)
-                other = line[1] if line[0] == bus else line[0]
-                if other not in comp_buses:
-                    comp_buses.add(other)
-                    stack.append(other)
-        unvisited_buses -= comp_buses
-        components.append(frozenset(comp_lines))
-    components.sort(key=min)
-    return [Pattern(lines, source_minute=group.minute) for lines in components]
+    # lines are canonical, so a component's smallest line starts with its
+    # smallest bus, and the components already come in smallest-line order
+    return [_trusted_pattern(frozenset(lines), group.minute) for lines, _ in components(group.lines)]
 
 
 def extract_patterns(groups: Iterable[GenerationGroup], network: Network) -> list[Pattern]:

@@ -10,7 +10,6 @@ the whole pipeline can be exercised against known ground truth.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from datetime import datetime, timedelta
 from typing import Iterable
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from .generator import GeneratedPattern, GeneratorConfig, generate_ensemble
 from .ingest import OutageRecord
-from .lines import Line, canonical_line
+from .lines import Line, canonical_line, components
 from .network import Network
 from .rng import substream
 
@@ -56,7 +55,7 @@ def grid_mesh_network(lines: int, multi_circuit_fraction: float = 0.0, seed: int
                 edges.append(canonical_line(name(r, c), name(r + 1, c)))
     excess = len(edges) - lines
     if excess > 0:
-        tree = _spanning_tree(edges)
+        _, tree = components(sorted(edges))[0]
         cycle_edges = sorted(set(edges) - tree, reverse=True)
         removed = set(cycle_edges[:excess])
         kept = [e for e in edges if e not in removed]
@@ -65,26 +64,6 @@ def grid_mesh_network(lines: int, multi_circuit_fraction: float = 0.0, seed: int
         edges = kept
     rng = substream(seed, 1)
     return Network(edges, _assign_multiplicities(edges, multi_circuit_fraction, rng))
-
-
-def _spanning_tree(edges: list[Line]) -> set[Line]:
-    adjacency: dict[str, list[Line]] = {}
-    for line in sorted(edges):
-        adjacency.setdefault(line[0], []).append(line)
-        adjacency.setdefault(line[1], []).append(line)
-    start = min(adjacency)
-    seen = {start}
-    tree: set[Line] = set()
-    queue = deque([start])
-    while queue:
-        bus = queue.popleft()
-        for line in adjacency[bus]:
-            other = line[1] if line[0] == bus else line[0]
-            if other not in seen:
-                seen.add(other)
-                tree.add(line)
-                queue.append(other)
-    return tree
 
 
 def _peel_leaf(edges: list[Line]) -> list[Line]:

@@ -13,10 +13,11 @@ import pytest
 
 from gridpatterns import cli
 from gridpatterns.errors import CapExceededError
-from gridpatterns.generator import read_generated_patterns
+from gridpatterns.generator import GeneratorConfig, generate_ensemble, write_generated_patterns
 from gridpatterns.ingest import read_generations_csv
 from gridpatterns.network import Network, read_network_csv, write_network_csv
 from gridpatterns.patterns import read_patterns_file
+from gridpatterns.zipf import ZipfModel
 
 
 def _run(*argv) -> int:
@@ -126,10 +127,11 @@ def test_generate_command(pipeline, tmp_path):
         )
         == 0
     )
-    ensemble = read_generated_patterns(tmp_path / "generated_patterns.txt")
-    assert len(ensemble) == 250
-    net = read_network_csv(network)
-    assert all(gp.pattern.lines <= net.line_set for gp in ensemble)
+    config = GeneratorConfig(ZipfModel(3.0), 0.4, p_circuits=0.2, seed=6)
+    ensemble = generate_ensemble(read_network_csv(network), config, 250)
+    expected = tmp_path / "expected.txt"
+    write_generated_patterns(expected, ensemble)
+    assert (tmp_path / "generated_patterns.txt").read_bytes() == expected.read_bytes()
 
 
 def test_generate_threads_and_reruns_byte_identical(pipeline, tmp_path):
@@ -296,6 +298,20 @@ def test_extract_missing_network_exit_2(pipeline, tmp_path):
         "--network", tmp_path / "absent.csv", "--out", tmp_path,
     )
     assert rc == 2
+
+
+@pytest.mark.parametrize("bus", ["", "A;X"])
+def test_generate_unwritable_bus_name_exit_2(tmp_path, bus):
+    # the network reader rejects a name the pattern writer cannot write,
+    # before any output is started
+    network = tmp_path / "network.csv"
+    network.write_text(f'from_bus,to_bus,multiplicity\n"{bus}",B,1\nB,C,1\n')
+    rc = _run(
+        "generate", "--network", network, "--s", 2.0, "--p-one-plus", 0.4,
+        "--count", 50, "--out", tmp_path / "out",
+    )
+    assert rc == 2
+    assert not (tmp_path / "out" / "generated_patterns.txt").exists()
 
 
 def test_command_prints_summary(tmp_path, capsys):

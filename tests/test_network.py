@@ -55,6 +55,22 @@ def test_build_from_outages_keeps_largest_component():
     assert net.lines == (("A", "B"), ("B", "C"))
 
 
+@pytest.mark.parametrize("order", [1, -1])
+def test_build_from_outages_equal_lines_prefers_more_buses(order):
+    # a triangle and a 3-line path have 3 lines each; the path has 4 buses
+    records = [rec(0, "A", "B"), rec(1, "B", "C"), rec(2, "A", "C"),
+               rec(3, "P", "Q"), rec(4, "Q", "R"), rec(5, "R", "S")][::order]
+    net = build_network_from_outages(records)
+    assert net.lines == (("P", "Q"), ("Q", "R"), ("R", "S"))
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_build_from_outages_equal_lines_and_buses_prefers_smaller_bus(order):
+    records = [rec(0, "X", "Y"), rec(1, "Y", "Z"), rec(2, "B", "D"), rec(3, "C", "D")][::order]
+    net = build_network_from_outages(records)
+    assert net.lines == (("B", "D"), ("C", "D"))
+
+
 def test_build_from_outages_multiplicity_counts_distinct_circuits():
     records = [rec(0, "A", "B", "1"), rec(5, "A", "B", "2"), rec(9, "A", "B", "1")]
     net = build_network_from_outages(records)
@@ -151,4 +167,12 @@ def test_network_csv_errors(tmp_path):
         read_network_csv(path)
     path.write_text("from_bus,to_bus,multiplicity\n")
     with pytest.raises(DegenerateDataError):
+        read_network_csv(path)
+
+
+@pytest.mark.parametrize("bus", ["", "A-X", "A;X", "A|X", "A,X"])
+def test_network_csv_rejects_unwritable_bus_names(tmp_path, bus):
+    path = tmp_path / "net.csv"
+    path.write_text(f'from_bus,to_bus,multiplicity\n"{bus}",B,1\nB,C,1\n')
+    with pytest.raises(InputFormatError, match="line 2"):
         read_network_csv(path)

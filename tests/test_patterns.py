@@ -52,6 +52,19 @@ def test_split_two_components():
     ]
 
 
+def test_split_orders_interleaved_components_by_smallest_line():
+    # bus names of the three components interleave: A D F | B E | C G H
+    net = Network([("A", "D"), ("D", "F"), ("B", "E"), ("C", "G"), ("C", "H"), ("F", "G"), ("E", "H")])
+    g = group(("C", "H"), ("D", "F"), ("B", "E"), ("C", "G"), ("A", "D"))
+    patterns = split_into_patterns(g, net)
+    assert [sorted(p.lines) for p in patterns] == [
+        [("A", "D"), ("D", "F")],
+        [("B", "E")],
+        [("C", "G"), ("C", "H")],
+    ]
+    assert patterns == [Pattern(p.lines, source_minute=MINUTE) for p in patterns]
+
+
 def test_split_loop_is_one_pattern(triangle):
     patterns = split_into_patterns(group(("A", "B"), ("B", "C"), ("A", "C")), triangle)
     assert len(patterns) == 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 from datetime import datetime
 
@@ -9,7 +10,7 @@ import pytest
 
 from gridpatterns.generator import GeneratorConfig
 from gridpatterns.ingest import group_into_generations
-from gridpatterns.network import Network, build_network_from_outages
+from gridpatterns.network import Network, build_network_from_outages, write_network_csv
 from gridpatterns.patterns import extract_patterns
 from gridpatterns.synthnet import (
     NETWORK_KINDS,
@@ -28,6 +29,24 @@ def test_exact_line_count_and_connectivity(kind, lines):
     net = synthetic_network(kind, lines, seed=5)
     # Network construction itself enforces connectivity
     assert net.n_lines == lines
+
+
+@pytest.mark.parametrize(
+    "builder, lines, fraction, digest",
+    [
+        # 5 lines peel a leaf; 300 and 2000 lines trim cycle edges off a
+        # spanning tree
+        pytest.param(grid_mesh_network, 5, 0.0, "51493c5c70a3f9f4e2fd96abe18b401d7cb48fdc8aa316e9e5c838c52a92b91e", id="grid-mesh-5"),
+        pytest.param(grid_mesh_network, 300, 0.1, "03dcaefa38cb7d9c7bc4b00fdc8a77dbe26e74637587c4727a430cf7130c953e", id="grid-mesh-300"),
+        pytest.param(grid_mesh_network, 2000, 0.1, "ab674bdf2e481ed44d2c8d3d2fc55346719f3c18adea2f0c98d9dc51f05d344c", id="grid-mesh-2000"),
+        pytest.param(random_tree_network, 200, 0.0, "249d3c543565ebbf688e91e950bc479e24d6c3645030a79dc3a9f4732568ed06", id="random-tree-200"),
+        pytest.param(ba_like_network, 200, 0.0, "556d916e5ccc03605075b87e610335798288bbf94b967f58e17ad97e87c754b2", id="ba-like-200"),
+    ],
+)
+def test_network_bytes_are_pinned(tmp_path, builder, lines, fraction, digest):
+    path = tmp_path / "network.csv"
+    write_network_csv(path, builder(lines, fraction, seed=0))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_grid_mesh_is_meshed():
