@@ -34,7 +34,6 @@ from .distance import (
 )
 from .errors import (
     CalibrationError,
-    CapExceededError,
     DegenerateDataError,
     GridPatternsError,
     InputFormatError,
@@ -84,7 +83,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CalibrationError",
     "CalibrationResult",
-    "CapExceededError",
     "DegenerateDataError",
     "EvaluationReport",
     "GeneratedPattern",

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapExceededError, DegenerateDataError
+from .errors import DegenerateDataError
 from .patterns import DegreeSequence, _as_sequences, check_degree_sequence, line_count
 
 
@@ -193,6 +193,10 @@ def _bounded_search(a, b, lower, upper, neighbors_fn) -> int:
     heuristic, reopening nodes on shorter arrivals.  Every estimate in the
     queue shares the parity of the line-count gap, so once the cheapest open
     estimate reaches ``best`` no path can undercut it and ``best`` is exact.
+    The graph is infinite, but the search still ends: a node is queued only
+    while its estimate is below ``best`` <= ``upper``, and the estimate
+    covers the line-count gap to ``b``, so every queued node has fewer than
+    ``upper`` + line_count(b) lines and only finitely many such nodes exist.
     Deeper nodes win ties to reach ``b`` and tighten ``best`` early.
     """
     best = upper
@@ -222,18 +226,16 @@ def _bounded_search(a, b, lower, upper, neighbors_fn) -> int:
 
 
 class SequenceGraph:
-    """Degree-sequence edit distances under a line-count cap.
+    """Degree-sequence edit distances over the whole, uncapped graph.
 
-    Each distance starts from the counting lower bound; a bounded best-first
-    search over the capped graph settles the pairs the bound does not decide
-    outright, diving along bound-tight moves first.  Pair results and
-    neighbor tuples are memoized on the instance.
+    The nodes are every connected-graphical degree sequence, so a distance
+    is the true one-line-edit metric.  Each distance starts from the
+    counting lower bound; a bounded best-first search settles the pairs the
+    bound does not decide outright, diving along bound-tight moves first.
+    Pair results and neighbor tuples are memoized on the instance.
     """
 
-    def __init__(self, max_lines: int):
-        if int(max_lines) < 1:
-            raise ValueError("max_lines must be >= 1")
-        self.max_lines = int(max_lines)
+    def __init__(self):
         self._adj: dict[DegreeSequence, tuple[DegreeSequence, ...]] = {}
         self._pairs: dict[tuple[DegreeSequence, DegreeSequence], int] = {}
 
@@ -241,26 +243,14 @@ class SequenceGraph:
         canon = check_degree_sequence(seq)
         if not is_connected_graphical(canon):
             raise ValueError(f"{canon} is not a connected-graphical degree sequence")
-        if line_count(canon) > self.max_lines:
-            raise CapExceededError(
-                f"sequence {canon} has {line_count(canon)} lines, above the cap {self.max_lines}"
-            )
         return canon
 
-    def neighbors(self, seq: Sequence[int]) -> tuple[DegreeSequence, ...]:
-        return self._neighbors(self._check_node(seq))
-
     def _neighbors(self, canon: DegreeSequence) -> tuple[DegreeSequence, ...]:
-        # the search reaches only canonical connected-graphical nodes within
-        # the cap (additions are filtered below), so it skips _check_node
+        # the search reaches only canonical connected-graphical nodes, so it
+        # skips _check_node
         cached = self._adj.get(canon)
         if cached is None:
-            cap = 2 * self.max_lines
-            cached = tuple(
-                nb
-                for nb in _additions_canonical(canon)
-                if sum(nb) <= cap
-            ) + _removals_canonical(canon)
+            cached = _additions_canonical(canon) + _removals_canonical(canon)
             self._adj[canon] = cached
         return cached
 
@@ -276,7 +266,7 @@ class SequenceGraph:
         if hit is None:
             lower = _alignment_bound(ca, cb)
             # removals down to a single line and additions back up form a
-            # genuine path at any cap, so la + lb - 2 always bounds above
+            # genuine path, so la + lb - 2 always bounds above
             upper = (sum(ca) + sum(cb)) // 2 - 2
             if upper == lower:
                 hit = upper
@@ -298,36 +288,17 @@ class SequenceGraph:
         return out
 
 
-_SHARED_GRAPHS: dict[int, SequenceGraph] = {}
+# One process-wide graph keeps its caches warm across comparisons.  It is not
+# safe for concurrent mutation from threads; parallel evaluation uses
+# processes, each with its own copy.
+_GRAPH = SequenceGraph()
 
 
-def shared_sequence_graph(max_lines: int) -> SequenceGraph:
-    """Process-wide SequenceGraph per cap value.
-
-    The cap fixes the graph's node set, so two comparisons at the same cap
-    see identical distances whether or not they share an instance; sharing
-    only keeps the lazily built caches warm.  Instances are not safe for
-    concurrent mutation from threads; parallel evaluation uses processes.
-    """
-    graph = _SHARED_GRAPHS.get(int(max_lines))
-    if graph is None:
-        graph = _SHARED_GRAPHS[int(max_lines)] = SequenceGraph(max_lines)
-    return graph
-
-
-def sequence_distance(a: Sequence[int], b: Sequence[int], cap: int | None = None) -> int:
-    """Edit distance between two degree sequences.
-
-    The search is restricted to sequences with at most ``cap`` lines; the
-    default cap is two lines above the larger endpoint, which is enough
-    slack for every shortest path at the scales checked exhaustively in the
-    test suite.
-    """
-    ca = check_degree_sequence(a)
-    cb = check_degree_sequence(b)
-    if cap is None:
-        cap = max(line_count(ca), line_count(cb)) + 2
-    return shared_sequence_graph(cap).distance(ca, cb)
+def sequence_distance(a: Sequence[int], b: Sequence[int]) -> int:
+    """Edit distance between two degree sequences: the true shortest path
+    length in the uncapped one-line-edit graph (see :func:`_bounded_search`
+    for why the search ends)."""
+    return _GRAPH.distance(a, b)
 
 
 @dataclass(frozen=True)
@@ -357,17 +328,6 @@ class PatternDistribution:
         order = sorted(range(len(support)), key=lambda i: (line_count(support[i]), support[i]))
         object.__setattr__(self, "support", tuple(support[i] for i in order))
         object.__setattr__(self, "probabilities", probs[order])
-
-    @property
-    def max_lines(self) -> int:
-        return max(line_count(s) for s in self.support)
-
-    def probability_of(self, seq: Sequence[int]) -> float:
-        canon = check_degree_sequence(seq)
-        for s, p in zip(self.support, self.probabilities):
-            if s == canon:
-                return float(p)
-        return 0.0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PatternDistribution):
@@ -523,20 +483,15 @@ class TransportPlan:
     objective: float
 
 
-def wasserstein(
-    p: PatternDistribution,
-    q: PatternDistribution,
-    graph: SequenceGraph | None = None,
-) -> tuple[float, TransportPlan]:
+def wasserstein(p: PatternDistribution, q: PatternDistribution) -> tuple[float, TransportPlan]:
     """Wasserstein distance between two degree-sequence distributions.
 
-    The ground metric is the one-line-edit distance.  Returns the distance
-    together with an optimal plan; the plan's row sums recover ``p`` and its
-    column sums recover ``q`` up to float rounding.
+    The ground metric is the uncapped one-line-edit distance of
+    :func:`sequence_distance`.  Returns the distance together with an
+    optimal plan; the plan's row sums recover ``p`` and its column sums
+    recover ``q`` up to float rounding.
     """
-    if graph is None:
-        graph = shared_sequence_graph(max(p.max_lines, q.max_lines) + 2)
-    cost = graph.distance_matrix(p.support, q.support)
+    cost = _GRAPH.distance_matrix(p.support, q.support)
     value, plan = TransportSolver(cost).solve(p.probabilities, q.probabilities)
     return value, TransportPlan(p.support, q.support, plan, value)
 

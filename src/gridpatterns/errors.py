@@ -29,7 +29,3 @@ class CalibrationError(GridPatternsError):
         self.target = target
         self.low = low
         self.high = high
-
-
-class CapExceededError(GridPatternsError):
-    """No path between two degree sequences within the line-count cap."""

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .distance import TransportSolver, shared_sequence_graph
+from .distance import _GRAPH, TransportSolver
 from .errors import DegenerateDataError
 from .generator import GeneratorConfig, generate_ensemble
 from .network import Network
@@ -61,8 +61,7 @@ def permutation_test(
     support = sorted(set(pool), key=lambda s: (line_count(s), s))
     index = {seq: i for i, seq in enumerate(support)}
     pool_idx = np.array([index[s] for s in pool], dtype=np.int64)
-    graph = shared_sequence_graph(max(line_count(s) for s in support) + 2)
-    solver = TransportSolver(graph.distance_matrix(support, support))
+    solver = TransportSolver(_GRAPH.distance_matrix(support, support))
     n_support = len(support)
 
     def statistic(idx: np.ndarray) -> int:

@@ -126,8 +126,9 @@ def parse_outage_file(path, aliases: Mapping[str, str] | None = None) -> ParseRe
     """Parse an outage CSV, keeping normalized automatic records.
 
     Non-automatic rows and self-loop rows (both endpoints normalize to the
-    same bus) are dropped and counted in the result.  Malformed rows raise
-    InputFormatError naming the offending line.
+    same bus) are dropped and counted in the result.  Malformed rows, and
+    rows with a bus name the writers would reject once aliases are applied,
+    raise InputFormatError naming the offending line.
     """
     result = ParseResult(records=[])
     with open(path, newline="") as fh:
@@ -149,10 +150,11 @@ def parse_outage_file(path, aliases: Mapping[str, str] | None = None) -> ParseRe
             if raw_auto.strip().lower() not in AUTOMATIC_VALUES:
                 result.dropped_non_automatic += 1
                 continue
-            from_bus = normalize_bus(raw_from, aliases)
-            to_bus = normalize_bus(raw_to, aliases)
-            if not from_bus or not to_bus:
-                raise InputFormatError(f"{path}: line {lineno}: empty bus name")
+            try:
+                from_bus = check_serializable_bus(normalize_bus(raw_from, aliases))
+                to_bus = check_serializable_bus(normalize_bus(raw_to, aliases))
+            except ValueError as exc:
+                raise InputFormatError(f"{path}: line {lineno}: {exc}") from exc
             if from_bus == to_bus:
                 result.dropped_self_loops += 1
                 continue
@@ -219,7 +221,10 @@ def write_generations_csv(path, groups: Iterable[GenerationGroup]) -> None:
 
 
 def read_generations_csv(path) -> list[GenerationGroup]:
-    """Read back a generations CSV written by :func:`write_generations_csv`."""
+    """Read back a generations CSV written by :func:`write_generations_csv`.
+
+    Bus names the other writers would reject are rejected here, with the row.
+    """
     by_minute: dict[datetime, dict[Line, int]] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -231,7 +236,7 @@ def read_generations_csv(path) -> list[GenerationGroup]:
                 raise InputFormatError(f"{path}: line {lineno}: expected 4 fields, got {len(row)}")
             try:
                 minute = datetime.strptime(row[0].strip(), TIMESTAMP_FORMAT)
-                line = canonical_line(row[1], row[2])
+                line = canonical_line(check_serializable_bus(row[1]), check_serializable_bus(row[2]))
                 circuits = int(row[3])
             except ValueError as exc:
                 raise InputFormatError(f"{path}: line {lineno}: {exc}") from exc

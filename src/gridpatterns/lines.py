@@ -54,11 +54,14 @@ def format_line(line: Line) -> str:
 
 
 def parse_line(text: str) -> Line:
-    """Parse a ``FROM-TO`` token back into a canonical line."""
+    """Parse a ``FROM-TO`` token back into a canonical line.
+
+    Bus names :func:`format_line` would reject are rejected here too.
+    """
     parts = text.split("-")
     if len(parts) != 2 or not parts[0] or not parts[1]:
         raise ValueError(f"malformed line token: {text!r}")
-    return canonical_line(parts[0], parts[1])
+    return canonical_line(check_serializable_bus(parts[0]), check_serializable_bus(parts[1]))
 
 
 def components(lines: Iterable[Line]) -> list[tuple[set[Line], set[Line]]]:

@@ -229,8 +229,8 @@ def format_pattern(lines: Iterable[Line]) -> str:
 
 def parse_pattern(text: str) -> frozenset[Line]:
     """Parse a ``A-B;B-C`` pattern token into a set of lines."""
-    tokens = text.strip().split(";")
-    if not tokens or not tokens[0]:
+    tokens = text.split(";")
+    if not tokens[0]:
         raise ValueError(f"malformed pattern: {text!r}")
     return frozenset(parse_line(tok) for tok in tokens)
 
@@ -244,12 +244,16 @@ def write_patterns_file(path, patterns: Iterable[Pattern]) -> None:
 
 
 def read_patterns_file(path) -> list[Pattern]:
-    """Read a pattern file written by :func:`write_patterns_file`."""
+    """Read a pattern file written by :func:`write_patterns_file`.
+
+    Blank lines are skipped.  Other lines keep their spaces, which belong to
+    the bus names, just as in the network file.
+    """
     out: list[Pattern] = []
     with open(path) as fh:
         for lineno, text in enumerate(fh, start=1):
-            text = text.strip()
-            if not text:
+            text = text.rstrip("\n")
+            if not text.strip():
                 continue
             try:
                 out.append(Pattern(parse_pattern(text)))
@@ -261,15 +265,6 @@ def read_patterns_file(path) -> list[Pattern]:
 def format_degree_sequence(seq: Sequence[int]) -> str:
     """Format a degree sequence as ``3,1,1,1``."""
     return ",".join(str(d) for d in check_degree_sequence(seq))
-
-
-def parse_degree_sequence(text: str) -> DegreeSequence:
-    """Parse a ``3,1,1,1`` token, tolerating unsorted input."""
-    try:
-        values = [int(tok) for tok in text.strip().split(",")]
-    except ValueError as exc:
-        raise ValueError(f"malformed degree sequence: {text!r}") from exc
-    return check_degree_sequence(sorted(values, reverse=True))
 
 
 def write_degree_sequence_counts(path, patterns: Iterable[Pattern]) -> None:

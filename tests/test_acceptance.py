@@ -232,7 +232,7 @@ def test_criterion_07_distance_metric_suite():
 def test_criterion_08_transport_oracle_equivalence():
     pool = [seq for lines in range(1, 5) for seq in valid_sequences(4)[lines]]
     rng = substream(8)
-    graph = SequenceGraph(8)
+    graph = SequenceGraph()
 
     def random_distribution():
         size = int(rng.integers(1, 4))

@@ -12,7 +12,7 @@ import json
 import pytest
 
 from gridpatterns import cli
-from gridpatterns.errors import CapExceededError
+from gridpatterns.errors import GridPatternsError
 from gridpatterns.generator import GeneratorConfig, generate_ensemble, write_generated_patterns
 from gridpatterns.ingest import read_generations_csv
 from gridpatterns.network import Network, read_network_csv, write_network_csv
@@ -208,19 +208,19 @@ def test_calibrate_command(pipeline, tmp_path):
 
 
 def test_other_package_error_exit_5(pipeline, tmp_path, monkeypatch, capsys):
-    # an error outside the documented classes, such as a capped distance
-    # search, must still end in an exit code and not a traceback
-    def capped(*args, **kwargs):
-        raise CapExceededError("no path within 7 lines")
+    # a package error outside the documented classes must still end in an
+    # exit code and not a traceback
+    def failing(*args, **kwargs):
+        raise GridPatternsError("unexpected package failure")
 
-    monkeypatch.setattr(cli.evaluation, "evaluate_model", capped)
+    monkeypatch.setattr(cli.evaluation, "evaluate_model", failing)
     rc = _run(
         "evaluate", "--network", pipeline["ingest"] / "network.csv",
         "--patterns", pipeline["extract"] / "patterns.txt",
         "--s", 4.0, "--p-one-plus", 0.3, "--out", tmp_path,
     )
     assert rc == 5
-    assert capsys.readouterr().err == "error: no path within 7 lines\n"
+    assert capsys.readouterr().err == "error: unexpected package failure\n"
 
 
 def test_calibrate_unreachable_target_exit_4(tmp_path, path4):
@@ -273,6 +273,18 @@ def test_ingest_malformed_row_exit_2(tmp_path):
         "not-a-time,A,B,1,auto\n"
     )
     assert _run("ingest", "--outages", bad, "--out", tmp_path) == 2
+
+
+def test_ingest_unwritable_bus_name_exit_2(tmp_path, capsys):
+    # the outage reader names the row and the command writes nothing
+    bad = tmp_path / "outages.csv"
+    bad.write_text(
+        "timestamp,from_bus,to_bus,circuit_id,automatic\n"
+        "2020-01-01 00:00,A;X,B,1,auto\n"
+    )
+    assert _run("ingest", "--outages", bad, "--out", tmp_path / "out") == 2
+    assert f"{bad}: line 2: " in capsys.readouterr().err
+    assert not (tmp_path / "out" / "network.csv").exists()
 
 
 def test_ingest_no_automatic_rows_exit_3(tmp_path):

@@ -28,7 +28,7 @@ from gridpatterns.distance import (
     sequence_removals,
     wasserstein,
 )
-from gridpatterns.errors import CapExceededError, DegenerateDataError
+from gridpatterns.errors import DegenerateDataError
 from gridpatterns.patterns import Pattern, line_count
 
 
@@ -118,26 +118,17 @@ def test_distance_examples():
 
 def test_distance_matches_uncapped_oracle_exhaustively():
     # every pair of sequences with at most 4 lines, against networkx BFS on
-    # a graph that extends well past the production cap
+    # a graph that extends well past every shortest path between them
     nodes = [seq for lines in range(1, 5) for seq in valid_sequences(4)[lines]]
     for a, b in itertools.combinations_with_replacement(nodes, 2):
         expected = oracle_distance(a, b, max_lines=8)
         assert sequence_distance(a, b) == expected, (a, b)
 
 
-def test_default_cap_slack_never_binds_at_small_scale():
-    # distances computed with the default cap (max lines + 2) equal those
-    # with a much larger cap, so the documented slack is sufficient here
-    nodes = [seq for lines in range(1, 5) for seq in valid_sequences(4)[lines]]
-    wide = SequenceGraph(9)
-    for a, b in itertools.combinations(nodes, 2):
-        assert sequence_distance(a, b) == wide.distance(a, b)
-
-
 def test_metric_axioms_on_random_sequences():
     rng = np.random.default_rng(42)
     nodes = [seq for lines in range(1, 6) for seq in valid_sequences(5)[lines]]
-    graph = SequenceGraph(7)
+    graph = SequenceGraph()
     for _ in range(120):
         a, b, c = (nodes[int(rng.integers(len(nodes)))] for _ in range(3))
         dab = graph.distance(a, b)
@@ -148,20 +139,10 @@ def test_metric_axioms_on_random_sequences():
         assert dab >= abs(line_count(a) - line_count(b))
 
 
-def test_cap_exceeded_raises():
-    with pytest.raises(CapExceededError):
-        sequence_distance((1, 1), (2, 2, 2), cap=2)
-    with pytest.raises(CapExceededError):
-        SequenceGraph(2).distance((1, 1), (2, 2, 2))
-    # endpoints above the cap fail immediately
-    with pytest.raises(CapExceededError):
-        SequenceGraph(1).neighbors((2, 2, 1, 1))
-
-
 def test_sequence_graph_rejects_invalid_nodes():
-    graph = SequenceGraph(5)
+    graph = SequenceGraph()
     with pytest.raises(ValueError):
-        graph.neighbors((1, 1, 1))
+        graph.distance((1, 1), (1, 1, 1))
     with pytest.raises(ValueError):
         graph.distance((3, 3, 1, 1), (1, 1))
     with pytest.raises(ValueError):
@@ -170,7 +151,7 @@ def test_sequence_graph_rejects_invalid_nodes():
 
 def test_distance_matrix_matches_pairwise():
     nodes = [(1, 1), (2, 1, 1), (2, 2, 2), (3, 1, 1, 1)]
-    graph = SequenceGraph(6)
+    graph = SequenceGraph()
     matrix = graph.distance_matrix(nodes, nodes)
     for i, a in enumerate(nodes):
         for j, b in enumerate(nodes):
@@ -207,8 +188,6 @@ def test_empirical_distribution_counts():
     dist = empirical_distribution([(1, 1), (1, 1), (2, 1, 1)])
     assert dist.support == ((1, 1), (2, 1, 1))
     assert dist.probabilities.tolist() == [2 / 3, 1 / 3]
-    assert dist.probability_of((1, 1)) == 2 / 3
-    assert dist.probability_of((4, 1, 1, 1, 1)) == 0.0
 
 
 def test_empirical_distribution_accepts_patterns_and_wrappers():
@@ -265,6 +244,7 @@ def test_wasserstein_interpretation_line_changes():
 def test_wasserstein_plan_marginals_and_objective():
     rng = np.random.default_rng(3)
     nodes = [seq for lines in range(1, 5) for seq in valid_sequences(4)[lines]]
+    graph = SequenceGraph()
     for _ in range(20):
         support_a = [nodes[i] for i in rng.choice(len(nodes), size=3, replace=False)]
         support_b = [nodes[i] for i in rng.choice(len(nodes), size=3, replace=False)]
@@ -273,7 +253,6 @@ def test_wasserstein_plan_marginals_and_objective():
         value, plan = wasserstein(pa, pb)
         assert np.allclose(plan.matrix.sum(axis=1), pa.probabilities, atol=1e-8)
         assert np.allclose(plan.matrix.sum(axis=0), pb.probabilities, atol=1e-8)
-        graph = SequenceGraph(max(pa.max_lines, pb.max_lines) + 2)
         cost = graph.distance_matrix(pa.support, pb.support)
         assert value == pytest.approx(float((plan.matrix * cost).sum()), abs=1e-9)
 
@@ -281,14 +260,14 @@ def test_wasserstein_plan_marginals_and_objective():
 def test_wasserstein_matches_brute_force_vertices():
     rng = np.random.default_rng(7)
     nodes = [seq for lines in range(1, 5) for seq in valid_sequences(4)[lines]]
-    graph = SequenceGraph(8)
+    graph = SequenceGraph()
     for _ in range(30):
         na, nb = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         support_a = [nodes[i] for i in rng.choice(len(nodes), size=na, replace=False)]
         support_b = [nodes[i] for i in rng.choice(len(nodes), size=nb, replace=False)]
         pa = PatternDistribution(tuple(support_a), rng.dirichlet(np.ones(na)))
         pb = PatternDistribution(tuple(support_b), rng.dirichlet(np.ones(nb)))
-        value, _ = wasserstein(pa, pb, graph=graph)
+        value, _ = wasserstein(pa, pb)
         cost = graph.distance_matrix(pa.support, pb.support)
         expected = brute_force_transport(cost, pa.probabilities, pb.probabilities)
         assert value == pytest.approx(expected, abs=1e-6)
@@ -297,7 +276,7 @@ def test_wasserstein_matches_brute_force_vertices():
 def test_wasserstein_metric_properties_on_distributions():
     rng = np.random.default_rng(11)
     nodes = [seq for lines in range(1, 5) for seq in valid_sequences(4)[lines]]
-    graph = SequenceGraph(8)
+    graph = SequenceGraph()
 
     def random_distribution():
         size = int(rng.integers(1, 4))
@@ -306,13 +285,13 @@ def test_wasserstein_metric_properties_on_distributions():
 
     for _ in range(15):
         pa, pb, pc = random_distribution(), random_distribution(), random_distribution()
-        dab, _ = wasserstein(pa, pb, graph=graph)
-        dba, _ = wasserstein(pb, pa, graph=graph)
+        dab, _ = wasserstein(pa, pb)
+        dba, _ = wasserstein(pb, pa)
         assert dab == pytest.approx(dba, abs=1e-9)
-        dself, _ = wasserstein(pa, pa, graph=graph)
+        dself, _ = wasserstein(pa, pa)
         assert dself == pytest.approx(0.0, abs=1e-9)
-        dac, _ = wasserstein(pa, pc, graph=graph)
-        dbc, _ = wasserstein(pb, pc, graph=graph)
+        dac, _ = wasserstein(pa, pc)
+        dbc, _ = wasserstein(pb, pc)
         assert dac <= dab + dbc + 1e-9
 
 
@@ -361,7 +340,7 @@ def test_transport_solver_exact_on_integer_counts():
     n_a * n_b exactly, as a Python int, with exact marginals."""
     rng = np.random.default_rng(23)
     nodes = [seq for lines in range(1, 5) for seq in valid_sequences(4)[lines]]
-    graph = SequenceGraph(8)
+    graph = SequenceGraph()
     for _ in range(40):
         na, nb = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         support_a = [nodes[i] for i in rng.choice(len(nodes), size=na, replace=False)]
@@ -384,7 +363,7 @@ def test_transport_on_excess_equals_full_transport():
     over the other costs as much as moving the full masses."""
     rng = np.random.default_rng(29)
     nodes = [seq for lines in range(1, 5) for seq in valid_sequences(4)[lines]]
-    graph = SequenceGraph(8)
+    graph = SequenceGraph()
     for _ in range(40):
         size = int(rng.integers(1, 7))
         support = [nodes[i] for i in rng.choice(len(nodes), size=size, replace=False)]

@@ -1,4 +1,5 @@
-"""Fuzzed network and pattern files: a reader returns or raises a package error."""
+"""Fuzzed input files: every reader returns or raises a package error, and
+what a reader returns its writer writes and the reader reads back equal."""
 
 from __future__ import annotations
 
@@ -9,17 +10,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridpatterns.errors import DegenerateDataError, InputFormatError
+from gridpatterns.ingest import (
+    OUTAGE_COLUMNS,
+    load_alias_map,
+    load_exclusions,
+    parse_outage_file,
+    read_generations_csv,
+    write_generations_csv,
+)
 from gridpatterns.network import read_network_csv, write_network_csv
-from gridpatterns.patterns import read_patterns_file
+from gridpatterns.patterns import read_patterns_file, write_patterns_file
 
 CHARS = 'AB C-;|,"\n120'
 TEXTS = st.text(alphabet=CHARS, max_size=40)
+
+
+def _csv(header: str, rows) -> str:
+    return header + "".join(",".join(row) + "\n" for row in rows)
+
+
 # rows of three short fields reach past the row checks far more often
 ROWS = st.lists(
     st.tuples(st.text(CHARS, max_size=2), st.text(CHARS, max_size=2), st.text("12 ", min_size=1, max_size=2)),
     max_size=3,
-).map(lambda rows: "".join(",".join(row) + "\n" for row in rows))
+).map(lambda rows: _csv("", rows))
 HEADER = "from_bus,to_bus,multiplicity\n"
+# a well-formed field or a fuzzed one, so that rows get past the field checks
+MINUTES = st.one_of(st.sampled_from(["2020-01-01 00:00", "2020-01-01 00:01"]), st.text(CHARS, max_size=3))
+FLAGS = st.one_of(st.sampled_from(["auto", "manual"]), st.text(CHARS, max_size=2))
+BUS = st.text(CHARS, max_size=3)
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True)
 
 
@@ -51,6 +70,54 @@ def test_patterns_reader_fuzz(body):
     with tempfile.TemporaryDirectory() as directory:
         path = _write(directory, "patterns.txt", body)
         try:
-            read_patterns_file(path)
+            patterns = read_patterns_file(path)
         except (InputFormatError, DegenerateDataError):
-            pass
+            return
+        again = Path(directory) / "again.txt"
+        write_patterns_file(again, patterns)
+        assert [p.lines for p in read_patterns_file(again)] == [p.lines for p in patterns]
+
+
+def _reads(reader, *args):
+    try:
+        return reader(*args)
+    except (InputFormatError, DegenerateDataError):
+        return None
+
+
+@FUZZ
+@given(
+    rows=st.lists(st.tuples(MINUTES, BUS, BUS, st.text(CHARS, max_size=2), FLAGS), max_size=3),
+    tail=TEXTS,
+    alias=st.one_of(st.none(), st.tuples(BUS, BUS)),
+)
+def test_outage_reader_fuzz(rows, tail, alias):
+    with tempfile.TemporaryDirectory() as directory:
+        path = _write(directory, "outages.csv", _csv(",".join(OUTAGE_COLUMNS) + "\n", rows) + tail)
+        aliases = None
+        if alias is not None:
+            aliases = _reads(load_alias_map, _write(directory, "aliases.csv", _csv("raw_name,canonical_name\n", [alias])))
+        _reads(parse_outage_file, path, aliases)
+
+
+@FUZZ
+@given(rows=st.lists(st.tuples(MINUTES, BUS, BUS, st.text("120x", max_size=2)), max_size=3), tail=TEXTS)
+def test_generations_reader_fuzz(rows, tail):
+    with tempfile.TemporaryDirectory() as directory:
+        path = _write(directory, "generations.csv", _csv("minute,from_bus,to_bus,circuits\n", rows) + tail)
+        groups = _reads(read_generations_csv, path)
+        if groups is None:
+            return
+        again = Path(directory) / "again.csv"
+        write_generations_csv(again, groups)
+        assert read_generations_csv(again) == groups
+
+
+@FUZZ
+@given(header=st.booleans(), rows=st.lists(st.tuples(BUS, BUS), max_size=3), tail=TEXTS)
+def test_alias_and_exclusion_readers_fuzz(header, rows, tail):
+    with tempfile.TemporaryDirectory() as directory:
+        aliases = _write(directory, "aliases.csv", _csv("raw_name,canonical_name\n" if header else "", rows) + tail)
+        _reads(load_alias_map, aliases)
+        exclusions = _write(directory, "exclusions.csv", _csv("from_bus,to_bus\n" if header else "", rows) + tail)
+        _reads(load_exclusions, exclusions)

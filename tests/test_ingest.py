@@ -176,6 +176,27 @@ def test_generations_csv_round_trip(tmp_path):
     assert read_generations_csv(path) == groups
 
 
+@pytest.mark.parametrize("bus", ["A-X", "A;X", "A|X", "A,X"])
+def test_parse_outage_file_rejects_unwritable_bus_names(tmp_path, bus):
+    body = f'2020-01-01 00:00,C,D,1,auto\n2020-01-01 00:00,"{bus}",B,1,auto\n'
+    path = write_csv(tmp_path, body)
+    with pytest.raises(InputFormatError, match="line 3"):
+        parse_outage_file(path)
+    # the check applies after aliasing, so a raw name mapped to a clean one stays legal
+    aliases = tmp_path / "aliases.csv"
+    aliases.write_text(f'raw_name,canonical_name\n"{bus}",ALPHA\n')
+    records = parse_outage_file(path, load_alias_map(aliases)).records
+    assert records[1].line == ("ALPHA", "B")
+
+
+@pytest.mark.parametrize("bus", ["", "A-X", "A;X", "A|X", "A,X"])
+def test_generations_csv_rejects_unwritable_bus_names(tmp_path, bus):
+    path = tmp_path / "generations.csv"
+    path.write_text(f'minute,from_bus,to_bus,circuits\n2020-01-01 00:00,"{bus}",B,1\n')
+    with pytest.raises(InputFormatError, match="line 2"):
+        read_generations_csv(path)
+
+
 def test_load_exclusions_normalizes(tmp_path):
     path = tmp_path / "exclusions.csv"
     path.write_text("from_bus,to_bus\n beta ,ALPHA\n")

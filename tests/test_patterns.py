@@ -18,7 +18,6 @@ from gridpatterns.patterns import (
     line_count,
     n_one_plus,
     p_one_plus_observed,
-    parse_degree_sequence,
     parse_pattern,
     read_patterns_file,
     size_histogram,
@@ -232,14 +231,34 @@ def test_patterns_file_round_trip(tmp_path):
         read_patterns_file(bad)
 
 
-def test_degree_sequence_format_round_trip():
+@pytest.mark.parametrize("bus", ["A,X", "A|X"])
+def test_patterns_file_rejects_unwritable_bus_names(tmp_path, bus):
+    # '-' and ';' split the tokens; the other reserved characters must not
+    # reach a pattern the writer then refuses
+    path = tmp_path / "patterns.txt"
+    path.write_text(f"C-D\n{bus}-B\n")
+    with pytest.raises(InputFormatError, match="line 2"):
+        read_patterns_file(path)
+
+
+def test_patterns_file_keeps_spaces_in_bus_names(tmp_path):
+    # a leading space belongs to the bus name, as in the network file, so
+    # the pattern reads, writes and reads back with the same lines
+    path = tmp_path / "patterns.txt"
+    path.write_text("C- A;C-D\n  \n")
+    patterns = read_patterns_file(path)
+    assert [p.lines for p in patterns] == [frozenset({(" A", "C"), ("C", "D")})]
+    again = tmp_path / "again.txt"
+    write_patterns_file(again, patterns)
+    assert [p.lines for p in read_patterns_file(again)] == [p.lines for p in patterns]
+
+
+def test_format_degree_sequence():
     assert format_degree_sequence((3, 1, 1, 1)) == "3,1,1,1"
-    assert parse_degree_sequence("3,1,1,1") == (3, 1, 1, 1)
-    assert parse_degree_sequence("1,3,1,1") == (3, 1, 1, 1)
     with pytest.raises(ValueError):
-        parse_degree_sequence("3,x")
+        format_degree_sequence((1, 3, 1, 1))
     with pytest.raises(ValueError):
-        parse_degree_sequence("")
+        format_degree_sequence(())
 
 
 def test_degree_sequence_counts_csv(tmp_path):
