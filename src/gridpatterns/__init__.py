@@ -26,10 +26,8 @@ from .distance import (
     TransportPlan,
     empirical_distribution,
     is_connected_graphical,
-    sequence_additions,
     sequence_distance,
     sequence_neighbors,
-    sequence_removals,
     wasserstein,
 )
 from .errors import (
@@ -51,7 +49,6 @@ from .generator import (
     GeneratorConfig,
     calibrate_p_one_plus,
     generate_ensemble,
-    generate_pattern,
     measure_p_one_plus_generated,
 )
 from .ingest import (
@@ -109,7 +106,6 @@ __all__ = [
     "extract_patterns",
     "fit_mle",
     "generate_ensemble",
-    "generate_pattern",
     "group_into_generations",
     "is_connected_graphical",
     "line_count",
@@ -121,10 +117,8 @@ __all__ = [
     "p_one_plus_observed",
     "parse_outage_file",
     "permutation_test",
-    "sequence_additions",
     "sequence_distance",
     "sequence_neighbors",
-    "sequence_removals",
     "size_histogram",
     "split_into_patterns",
     "substream",

@@ -7,8 +7,9 @@ output file.  Nothing in the outputs depends on wall-clock time or on the
 
 Exit codes: 0 on success; 2 for input and format problems and for invalid
 arguments (such as ``--threads`` below 1, or a calibration ensemble size or
-iteration count below 1 or a negative tolerance); 3 for empty or degenerate
-data; 4 for calibration failure; 5 for any other error this package raises.
+iteration count below 1 or a negative or NaN tolerance); 3 for empty or
+degenerate data; 4 for calibration failure; 5 for any other error this
+package raises.
 """
 
 from __future__ import annotations

@@ -63,17 +63,6 @@ def _valid_canonical(values: DegreeSequence) -> bool:
     return True
 
 
-def sequence_additions(seq: Sequence[int]) -> set[DegreeSequence]:
-    """Valid degree sequences reachable by adding one line.
-
-    Adding a line either joins two existing buses (two entries increment) or
-    taps one existing bus to a new bus (one entry increments and a 1 is
-    appended).  Candidates failing :func:`is_connected_graphical` are
-    discarded.
-    """
-    return set(_additions_canonical(check_degree_sequence(seq)))
-
-
 def _expand(counts: dict[int, int]) -> DegreeSequence:
     """Desc-sorted tuple from a degree -> multiplicity map, zeros dropped."""
     out: list[int] = []
@@ -85,6 +74,13 @@ def _expand(counts: dict[int, int]) -> DegreeSequence:
 
 @functools.cache
 def _additions_canonical(canon: DegreeSequence) -> tuple[DegreeSequence, ...]:
+    """Valid degree sequences reachable from a canonical one by adding one line, sorted.
+
+    Adding a line either joins two existing buses (two entries increment) or
+    taps one existing bus to a new bus (one entry increments and a 1 is
+    appended).  Candidates failing :func:`is_connected_graphical` are
+    discarded.
+    """
     # iterate distinct degree values, not positions: same canonical results,
     # and long near-uniform sequences stay cheap
     counts = collections.Counter(canon)
@@ -109,20 +105,16 @@ def _additions_canonical(canon: DegreeSequence) -> tuple[DegreeSequence, ...]:
     return tuple(sorted(c for c in candidates if is_connected_graphical(c)))
 
 
-def sequence_removals(seq: Sequence[int]) -> set[DegreeSequence]:
-    """Valid degree sequences reachable by removing one line.
-
-    Exact inverse of :func:`sequence_additions`: decrement two entries, and a
-    bus dropping to degree 0 leaves the sequence.  At most one entry may drop
-    to 0, because a line between two degree-1 buses would be a component of
-    its own and could not belong to a connected pattern with other lines.
-    Candidates failing the validity test are discarded.
-    """
-    return set(_removals_canonical(check_degree_sequence(seq)))
-
-
 @functools.cache
 def _removals_canonical(canon: DegreeSequence) -> tuple[DegreeSequence, ...]:
+    """Valid degree sequences reachable from a canonical one by removing one line, sorted.
+
+    Exact inverse of :func:`_additions_canonical`: decrement two entries, and
+    a bus dropping to degree 0 leaves the sequence.  At most one entry may
+    drop to 0, because a line between two degree-1 buses would be a
+    component of its own and could not belong to a connected pattern with
+    other lines.  Candidates failing the validity test are discarded.
+    """
     counts = collections.Counter(canon)
     values = sorted(counts)
     candidates: set[DegreeSequence] = set()

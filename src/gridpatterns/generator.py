@@ -15,14 +15,12 @@ touches, not a rebuild of the whole boundary; heavy-tailed targets on large
 networks stay cheap.  Ids ascend in sorted line order, so ``side[i]`` picks
 the same line as indexing a side rebuilt and sorted by line on every step.
 
-Pattern i of an ensemble draws from stream ``(seed, i)``.  Its first two
-draws, the seed line and the target, are computed for a block of 1024
-streams at once as uint64 array arithmetic (:meth:`_Sampler.head`, on the
-PCG64 helpers of ``rng``), and so is the circuit draw of a one-line
-pattern.  Most patterns at realistic exponents are one line, and they never
-touch a Generator; only a pattern that grows has its state set on one
-reused Generator, after its first two draws.  Calibration keeps the states
-of just the patterns with target 3 or more.
+Pattern i of an ensemble draws from stream ``(seed, i)``, and every draw
+is the package's own (``rng``).  Its first two draws, the seed line and the
+target, are computed for a block of 1024 streams at once as uint64 array
+arithmetic (:meth:`_Sampler.head`); growth and the circuit draws then go on
+from there on the pattern's :class:`rng.Stream`.  Calibration keeps the
+streams of just the patterns with target 3 or more.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ from .patterns import (
     n_one_plus,
     p_one_plus_observed,
 )
-from .rng import _BLOCK, Words, _bounded_uint32, _next_double, _pcg64_next, _pcg64_states, _restore, _saved
+from .rng import _BLOCK, Stream, Words, _bounded_uint32, _next_double, _pcg64_next, _pcg64_states
 from .zipf import ZipfModel
 
 
@@ -117,49 +115,32 @@ class _Sampler:
                 raise ValueError("initial weights sum to zero")
             self.cum_weights = np.cumsum(weights / total)
 
-    def initial_line(self, rng: np.random.Generator) -> Line:
-        if self.cum_weights is None:
-            return self.network.lines[int(rng.integers(self.k_max))]
-        idx = int(np.searchsorted(self.cum_weights, rng.random(), "right"))
-        return self.network.lines[min(idx, self.k_max - 1)]
-
-    def seed(self, rng: np.random.Generator) -> tuple[Line, int]:
-        """The first draws of every pattern: its seed line, then its target size."""
-        first = self.initial_line(rng)
-        return first, self.config.size_model.sample_size(rng, self.k_max)
-
     def head(self, state: Words, inc: Words) -> _Head:
-        """:meth:`seed` on a block of fresh PCG64 streams at once.
+        """The first draws of a block of fresh streams: each one's seed line, then its target size.
 
         ``state`` and ``inc`` hold the streams' words as
-        :func:`rng._pcg64_states` gives them.  A uniform seed line is numpy's
-        bounded draw on the first output, which leaves that output's high
-        half buffered; a weighted one bisects the first output's double.
-        The target bisects the second output's double.  A stream whose
-        bounded draw rejects, and every stream of a one-line network, whose
-        uniform draw consumes nothing, runs through :meth:`seed` on a
-        Generator instead, so its draws and state stay numpy's.
+        :func:`rng._pcg64_states` gives them.  A uniform seed line is the
+        bounded draw on the first output, which keeps that output's high
+        half; a weighted one bisects the first output's double.  The target
+        bisects the second output's double.  A stream whose bounded draw
+        rejects, and every stream of a one-line network, whose bounded draw
+        consumes nothing, makes both draws on its :class:`rng.Stream`.
         """
         after, first = _pcg64_next(state, inc)
         after, second = _pcg64_next(after, inc)
         targets = self.config.size_model._sizes(_next_double(second), self.k_max)
-        if self.cum_weights is None:
-            line_ids, redo = _bounded_uint32(first, self.k_max)
-            redo |= self.k_max == 1
-            has_uint32, uinteger = np.ones_like(first), first >> np.uint64(32)
-        else:
+        if self.cum_weights is not None:
             idx = np.searchsorted(self.cum_weights, _next_double(first), "right")
-            line_ids, redo = np.minimum(idx, self.k_max - 1), np.zeros(len(first), bool)
-            has_uint32, uinteger = np.zeros_like(first), np.zeros_like(first)
-        if redo.any():
-            rng = np.random.Generator(np.random.PCG64())
-            for i in np.flatnonzero(redo).tolist():
-                _restore(rng, (_int_at(state, i), _int_at(inc, i), 0, 0))
-                line, targets[i] = self.seed(rng)
-                line_ids[i] = self.network.line_ids[line]
-                words, _, has_uint32[i], uinteger[i] = _saved(rng)
-                after[0][i], after[1][i] = divmod(words, 1 << 64)
-        return _Head(line_ids, targets, after, inc, has_uint32, uinteger)
+            return _Head(np.minimum(idx, self.k_max - 1), targets, after, inc, np.full(len(first), -1))
+        line_ids, redo = _bounded_uint32(first, self.k_max)
+        halves = (first >> np.uint64(32)).astype(np.int64)
+        for i in np.flatnonzero(redo | (self.k_max == 1)).tolist():
+            stream = Stream(_int_at(state, i), _int_at(inc, i))
+            line_ids[i] = stream.integers(self.k_max)
+            targets[i] = self.config.size_model.sample_size(stream, self.k_max)
+            after[0][i], after[1][i] = divmod(stream.state, 1 << 64)
+            halves[i] = stream.half
+        return _Head(line_ids, targets, after, inc, halves)
 
     def heads(self, start: int, stop: int) -> Iterator[_Head]:
         """:meth:`head` of the streams ``(config.seed, i)`` for i in [start, stop), one block at a time."""
@@ -177,24 +158,23 @@ class _Head:
     """The first two draws of a block of streams, from :meth:`_Sampler.head`.
 
     Per stream: the seed line's network id, the target size, and the
-    stream's full PCG64 state after both draws, that is, the LCG state and
-    increment as ``(hi, lo)`` uint64 words and numpy's buffered 32-bit half
-    as a flag and a value.
+    stream's state after both draws: the LCG state and increment as
+    ``(hi, lo)`` uint64 words, and the kept 32-bit half or -1.
     """
 
     line_ids: np.ndarray
     targets: np.ndarray
     state: Words
     inc: Words
-    has_uint32: np.ndarray
-    uinteger: np.ndarray
+    halves: np.ndarray
 
-    def saved(self, i: int) -> tuple[int, int, int, int]:
-        """Stream i's state in the form of :func:`rng._saved`."""
-        return _int_at(self.state, i), _int_at(self.inc, i), int(self.has_uint32[i]), int(self.uinteger[i])
+    def streams(self, keep=slice(None)) -> list[Stream]:
+        """The streams at indices ``keep`` (default all), each ready for its third draw."""
+        s_hi, s_lo, i_hi, i_lo, halves = (a[keep].tolist() for a in (*self.state, *self.inc, self.halves))
+        return [Stream(a << 64 | b, c << 64 | d, half) for a, b, c, d, half in zip(s_hi, s_lo, i_hi, i_lo, halves)]
 
 
-def _grow(network: Network, first: Line, target: int, p_one_plus: float, rng) -> set[Line]:
+def _grow(network: Network, first: Line, target: int, p_one_plus: float, rng: Stream) -> set[Line]:
     """Grow a connected line set from ``first`` toward ``target`` lines.
 
     A candidate is a network line outside the pattern that touches it.  It
@@ -211,6 +191,8 @@ def _grow(network: Network, first: Line, target: int, p_one_plus: float, rng) ->
     sides are empty, which on a connected network means the pattern already
     covers every line.
     """
+    if target <= 1:
+        return {first}
     lines = network.lines
     incident = network.incident_ids
     grown: set[int] = set()
@@ -224,6 +206,8 @@ def _grow(network: Network, first: Line, target: int, p_one_plus: float, rng) ->
     line_id = network.line_ids[first]
     while True:
         grown.add(line_id)
+        if len(grown) >= target:
+            break
         if ends_at_1.get(line_id):
             del side1[bisect_left(side1, line_id)]
         if line_id in on_side2:
@@ -248,8 +232,6 @@ def _grow(network: Network, first: Line, target: int, p_one_plus: float, rng) ->
                         if other not in on_side2:
                             on_side2.add(other)
                             insort(side2, other)
-        if len(grown) >= target:
-            break
         if side1 and side2:
             side = side1 if rng.random() < p_one_plus else side2
         elif side1:
@@ -262,24 +244,13 @@ def _grow(network: Network, first: Line, target: int, p_one_plus: float, rng) ->
     return {lines[i] for i in grown}
 
 
-def generate_pattern(network: Network, config: GeneratorConfig, rng: np.random.Generator) -> GeneratedPattern:
-    """Generate a single pattern, drawing everything from ``rng``."""
-    sampler = _Sampler(network, config)
-    # Calibration and ensembles compute these two draws in bulk and grow
-    # from the stream state after them, so nothing before them may depend
-    # on p_one_plus.
-    first, target = sampler.seed(rng)
-    lines = _grow(network, first, target, config.p_one_plus, rng)
-    return _with_circuits(sampler, lines, target, rng.random)
-
-
-def _with_circuits(sampler: _Sampler, lines: set[Line], target: int, draw: Callable[[], float]) -> GeneratedPattern:
-    """A grown line set as a GeneratedPattern; ``draw()`` gives a double per multi-circuit line, in line order."""
+def _with_circuits(sampler: _Sampler, lines: set[Line], target: int, rng: Stream) -> GeneratedPattern:
+    """A grown line set as a GeneratedPattern; draws a double per multi-circuit line, in line order."""
     config = sampler.config
     extra: list[Line] = []
     if config.p_circuits > 0.0:
         for line in sorted(lines):
-            if sampler.network.multiplicity.get(line, 1) >= 2 and draw() < config.p_circuits:
+            if sampler.network.multiplicity.get(line, 1) >= 2 and rng.random() < config.p_circuits:
                 extra.append(line)
     return GeneratedPattern(
         pattern=_trusted_pattern(frozenset(lines)),
@@ -291,20 +262,11 @@ def _with_circuits(sampler: _Sampler, lines: set[Line], target: int, draw: Calla
 
 def _ensemble_chunk(network: Network, config: GeneratorConfig, start: int, stop: int) -> list[GeneratedPattern]:
     sampler = _Sampler(network, config)
-    rng = np.random.Generator(np.random.PCG64())
     out = []
     for head in sampler.heads(start, stop):
-        # a one-line pattern's only further draw, its circuit draw, is the
-        # double of the stream's third output
-        circuit_u = _next_double(_pcg64_next(head.state, head.inc)[1]).tolist()
-        for i, (line_id, target) in enumerate(zip(head.line_ids.tolist(), head.targets.tolist())):
-            first = network.lines[line_id]
-            if target == 1:
-                lines, draw = {first}, lambda u=circuit_u[i]: u
-            else:
-                _restore(rng, head.saved(i))
-                lines, draw = _grow(network, first, target, config.p_one_plus, rng), rng.random
-            out.append(_with_circuits(sampler, lines, target, draw))
+        for line_id, target, rng in zip(head.line_ids.tolist(), head.targets.tolist(), head.streams()):
+            lines = _grow(network, network.lines[line_id], target, config.p_one_plus, rng)
+            out.append(_with_circuits(sampler, lines, target, rng))
     return out
 
 
@@ -360,11 +322,11 @@ class CalibrationResult:
     steps: tuple[CalibrationStep, ...]
 
 
-_Seed = tuple[Line, int, tuple[int, int, int, int]]
+_Seed = tuple[Line, int, Stream]
 
 
 def _seed_chunk(network: Network, config: GeneratorConfig, start: int, stop: int) -> list[_Seed]:
-    """Seed line, target and stream state after both, for patterns in [start, stop) with target >= 3.
+    """Seed line, target and stream after both, for patterns in [start, stop) with target >= 3.
 
     A target of 1 or 2 never draws against p_one_plus and never counts in
     the branching estimator, so calibration can drop those patterns.
@@ -372,18 +334,17 @@ def _seed_chunk(network: Network, config: GeneratorConfig, start: int, stop: int
     sampler = _Sampler(network, config)
     out = []
     for head in sampler.heads(start, stop):
-        for i in np.flatnonzero(head.targets >= 3).tolist():
-            out.append((network.lines[int(head.line_ids[i])], int(head.targets[i]), head.saved(i)))
+        keep = np.flatnonzero(head.targets >= 3)
+        for line_id, target, stream in zip(head.line_ids[keep].tolist(), head.targets[keep].tolist(), head.streams(keep)):
+            out.append((network.lines[line_id], target, stream))
     return out
 
 
 def _branching_counts(network: Network, p_one_plus: float, seeds: list[_Seed]) -> tuple[int, int]:
     """Regrow cached patterns; sum (n_one_plus - 1) and (lines - 2) over those of 3 or more lines."""
-    rng = np.random.Generator(np.random.PCG64())
     numerator = denominator = 0
-    for first, target, state in seeds:
-        _restore(rng, state)
-        lines = _grow(network, first, target, p_one_plus, rng)
+    for first, target, stream in seeds:
+        lines = _grow(network, first, target, p_one_plus, stream.copy())
         if len(lines) >= 3:
             numerator += n_one_plus(degree_sequence(lines)) - 1
             denominator += len(lines) - 2
@@ -408,17 +369,15 @@ def calibrate_p_one_plus(
     is a deterministic, nearly monotone function of the parameter and the
     bisection is not chasing sampling noise.  With these common random
     numbers only patterns of target size 3 or more depend on the parameter
-    or count in the estimator: their seed lines, targets and stream states
-    are drawn once, and each iterate regrows only those patterns.  The
-    pre-pass computes every pattern's two first draws in blocks of uint64
-    array arithmetic (:meth:`_Sampler.head`) and keeps ints for the
-    patterns of target 3 or more alone.  Their cached state is four ints:
-    PCG64's 128-bit state and increment, and the flag and value of the
-    32-bit half that a uniform seed-line draw leaves buffered for the first
-    draw of growth.
+    or count in the estimator: their seed lines, targets and streams are
+    drawn once, and each iterate regrows only those patterns, each from a
+    copy of its cached stream.  The pre-pass computes every pattern's two
+    first draws in blocks of uint64 array arithmetic (:meth:`_Sampler.head`)
+    and keeps a :class:`rng.Stream` for the patterns of target 3 or more
+    alone.
 
     Raises ValueError for a target outside [0, 1], an ensemble_size or
-    max_iterations below 1, or a negative tolerance.  Raises
+    max_iterations below 1, or a tolerance that is negative or NaN.  Raises
     CalibrationError when the target lies outside what the network can
     produce at the endpoints, or when no generated pattern ever has 3 or
     more lines.
@@ -427,7 +386,7 @@ def calibrate_p_one_plus(
         raise ValueError(f"target must lie in [0, 1], got {target}")
     if ensemble_size < 1:
         raise ValueError(f"ensemble_size must be at least 1, got {ensemble_size}")
-    if tolerance < 0:
+    if not tolerance >= 0:
         raise ValueError(f"tolerance must be nonnegative, got {tolerance}")
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")

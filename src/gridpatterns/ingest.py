@@ -75,7 +75,11 @@ class ParseResult:
 
 
 def load_alias_map(path) -> dict[str, str]:
-    """Load a ``raw_name,canonical_name`` CSV into a normalized alias map."""
+    """Load a ``raw_name,canonical_name`` CSV into a normalized alias map.
+
+    A canonical name the writers would reject raises InputFormatError
+    naming the offending line.
+    """
     aliases: dict[str, str] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -86,12 +90,19 @@ def load_alias_map(path) -> dict[str, str]:
             if len(row) != 2:
                 raise InputFormatError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
             raw, canon = (normalize_bus(cell) for cell in row)
-            aliases[raw] = canon
+            try:
+                aliases[raw] = check_serializable_bus(canon)
+            except ValueError as exc:
+                raise InputFormatError(f"{path}: line {lineno}: {exc}") from exc
     return aliases
 
 
 def load_exclusions(path, aliases: Mapping[str, str] | None = None) -> list[Line]:
-    """Load a ``from_bus,to_bus`` CSV of lines to drop from the network."""
+    """Load a ``from_bus,to_bus`` CSV of lines to drop from the network.
+
+    A bus name that is empty, or that the writers would reject once aliases
+    are applied, raises InputFormatError naming the offending line.
+    """
     out: list[Line] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -103,7 +114,7 @@ def load_exclusions(path, aliases: Mapping[str, str] | None = None) -> list[Line
                 raise InputFormatError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
             a, b = (normalize_bus(cell, aliases) for cell in row)
             try:
-                out.append(canonical_line(a, b))
+                out.append(canonical_line(check_serializable_bus(a), check_serializable_bus(b)))
             except ValueError as exc:
                 raise InputFormatError(f"{path}: line {lineno}: {exc}") from exc
     return out

@@ -1,29 +1,27 @@
-"""Deterministic random-stream derivation.
+"""Deterministic random streams, and the package's own draws on them.
 
-Every stochastic routine in the package draws from a generator obtained
-through :func:`substream`, keyed by a root seed plus an integer path.  The
-stream for a given key is independent of how work is divided among worker
-processes, which is what makes ensembles byte-identical for any worker count.
+Every stochastic routine in the package draws from a stream keyed by a root
+seed plus an integer path: PCG64 seeded by ``SeedSequence(seed,
+spawn_key=path)`` (NumPy NEP 19).  The stream for a given key is independent
+of how work is divided among worker processes, which is what makes
+ensembles byte-identical for any worker count.
 
-Ensembles need one stream per pattern, ``substream(seed, i)``, by the
-hundred thousand, and most patterns make only two or three draws.  So this
-module also computes those streams' first draws itself, as uint64 array
-arithmetic over a block of indices, without building a SeedSequence, a
-PCG64 or a Generator per stream:
+:func:`substream` wraps a stream in a numpy Generator.  Pattern generation
+draws through this module instead, one stream per pattern, by the hundred
+thousand:
 
-- :func:`_pcg64_states` derives every stream's PCG64 state: the
-  SeedSequence hash mixing of NumPy NEP 19, vectorised over the index, then
-  PCG64's 128-bit ``srandom`` (O'Neill 2014);
-- :func:`_pcg64_next` steps the 128-bit LCG and gives its XSL-RR output;
-- :func:`_next_double` and :func:`_bounded_uint32` turn outputs into
-  numpy's ``random()`` and ``integers(n)`` draws, the latter by Lemire's
-  multiply-shift ("Fast random integer generation in an interval", ACM
-  TOMACS 2019), which keeps the output's high half buffered.
+- :func:`_pcg64_states` derives a block of streams' states as uint64 array
+  arithmetic: SeedSequence's hash mixing vectorised over the index, then
+  PCG64's 128-bit ``srandom`` (O'Neill 2014), on ``(hi, lo)`` pairs of
+  uint64 words multiplied and added from 32-bit limbs (:func:`_muladd`);
+- :func:`_pcg64_next`, :func:`_next_double` and :func:`_bounded_uint32` make
+  every stream's first draws in bulk, and a :class:`Stream` the rest.
 
-A 128-bit state is a ``(hi, lo)`` pair of uint64 words, and its arithmetic
-is one multiply-add built from 32-bit limbs (:func:`_muladd`).  numpy
-itself is the test oracle for all of it, and the source of every state
-this module does not derive.
+Both draw as numpy's ``Generator.random()`` and ``integers(n)`` do: the top
+53 bits of an output times 2**-53, and Lemire's multiply-shift ("Fast random
+integer generation in an interval", ACM TOMACS 2019) on a 32-bit half, the
+other half kept for the next bounded draw.  These are fixed algorithms, so a
+seed's patterns do not move with numpy's Generator; numpy is the test oracle.
 """
 
 from __future__ import annotations
@@ -61,8 +59,10 @@ _MIX_L = 0xCA01F9DD
 _MIX_R = 0x4973F715
 _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
-# 128-bit constants as (hi, lo) uint64 words: PCG64's LCG multiplier, and 1.
-_PCG_MULT = (np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645))
+_MASK128 = (1 << 128) - 1
+# PCG64's LCG multiplier; 128-bit constants as (hi, lo) uint64 words: it, and 1.
+_PCG_MULT_INT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT = (np.uint64(_PCG_MULT_INT >> 64), np.uint64(_PCG_MULT_INT & _MASK64))
 _ONE = (np.uint64(0), np.uint64(1))
 _LOW32 = np.uint64(_MASK32)
 _U32 = np.uint64(32)
@@ -132,8 +132,8 @@ def _pcg64_states(seed: int, start: int, stop: int) -> tuple[Words, Words]:
     word, the last of SeedSequence's entropy, so all the mixing before it is
     shared by the range and only the last step runs as uint32 array
     arithmetic over the index.  Any other key (a negative or non-int seed, a
-    negative index, or one of two words) goes to numpy through
-    :func:`substream`, which also raises its errors unchanged.
+    negative index, or one of two words) is seeded by numpy's SeedSequence
+    and PCG64, which also raise their errors unchanged.
     """
     if type(seed) is not int or seed < 0 or start < 0:
         mid = start
@@ -141,7 +141,7 @@ def _pcg64_states(seed: int, start: int, stop: int) -> tuple[Words, Words]:
         mid = max(start, min(stop, 1 << 32))
     words = []
     for i in range(mid, stop):
-        pcg = substream(seed, i).bit_generator.state["state"]
+        pcg = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(i,))).state["state"]
         words.append((pcg["state"] >> 64, pcg["state"] & _MASK64, pcg["inc"] >> 64, pcg["inc"] & _MASK64))
     words = np.array(words, dtype=np.uint64).reshape(-1, 4).T
     if mid > start:
@@ -194,18 +194,51 @@ def _derived_states(seed: int, start: int, stop: int) -> np.ndarray:
     return np.stack([*state, *inc])
 
 
-def _saved(rng: np.random.Generator) -> tuple[int, int, int, int]:
-    """A PCG64 Generator's full state as ints: state, inc, has_uint32, uinteger."""
-    state = rng.bit_generator.state
-    return state["state"]["state"], state["state"]["inc"], state["has_uint32"], state["uinteger"]
+class Stream:
+    """One PCG64 stream on Python ints: its 128-bit LCG ``state`` and ``inc``, and the kept 32-bit ``half`` or -1.
 
+    From the same PCG64 state, :meth:`random` and :meth:`integers` draw as
+    numpy's ``Generator.random()`` and ``Generator.integers(n)`` do.
+    """
 
-def _restore(rng: np.random.Generator, saved: tuple[int, int, int, int]) -> None:
-    """Set a PCG64 Generator to a state from :func:`_saved`."""
-    state, inc, has_uint32, uinteger = saved
-    rng.bit_generator.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
-        "has_uint32": has_uint32,
-        "uinteger": uinteger,
-    }
+    __slots__ = ("state", "inc", "half")
+
+    def __init__(self, state: int, inc: int, half: int = -1):
+        self.state, self.inc, self.half = state, inc, half
+
+    def copy(self) -> Stream:
+        """An independent stream at the same point."""
+        return Stream(self.state, self.inc, self.half)
+
+    def next64(self) -> int:
+        """PCG64's next output: step the LCG, then XSL-RR of the new state."""
+        state = self.state = (self.state * _PCG_MULT_INT + self.inc) & _MASK128
+        hi = state >> 64
+        x = hi ^ (state & _MASK64)
+        rot = hi >> 58
+        return ((x >> rot) | (x << (64 - rot))) & _MASK64
+
+    def random(self) -> float:
+        """A double in [0, 1): the next output's top 53 bits times 2**-53; never touches ``half``."""
+        return (self.next64() >> 11) * (1.0 / 9007199254740992.0)
+
+    def integers(self, n: int) -> int:
+        """A uniform int in [0, n), 1 <= n < 2**32, by Lemire's multiply-shift; ``n = 1`` draws nothing.
+
+        Each try takes the kept half, or else the low half of the next output
+        and keeps its high half; it rejects while ``u * n`` has a low word
+        below ``(2**32 - n) % n``.
+        """
+        if n == 1:
+            return 0
+        while True:
+            u = self.half
+            if u < 0:
+                x = self.next64()
+                u, self.half = x & _MASK32, x >> 32
+            else:
+                self.half = -1
+            m = u * n
+            low = m & _MASK32
+            if low >= n or low >= (0x100000000 - n) % n:
+                return m >> 32

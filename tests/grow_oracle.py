@@ -4,15 +4,21 @@
 the pattern.  The functions here recompute the partition from the whole
 pattern instead, which is slow (O(k^2 log k) for a k-line pattern) but
 follows the model's definition directly, so tests compare the incremental
-grower against them draw for draw.
+grower against them draw for draw.  They draw from a numpy Generator, while
+the package draws from its own PCG64 stream, so they also check the
+package's draws against numpy's.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping, NamedTuple
 
+import numpy as np
+
+from gridpatterns.generator import GeneratedPattern, GeneratorConfig
 from gridpatterns.lines import Line, canonical_line
 from gridpatterns.network import Network, pattern_degrees
+from gridpatterns.patterns import Pattern
 
 
 class AttachablePartition(NamedTuple):
@@ -81,3 +87,27 @@ def grow(network: Network, first: Line, target: int, p_one_plus: float, rng) -> 
         for bus in line:
             degrees[bus] = degrees.get(bus, 0) + 1
     return lines
+
+
+def first_draws(network: Network, config: GeneratorConfig, rng) -> tuple[Line, int]:
+    """A pattern's first draws: its seed line (uniform, or by inverse transform of the weights), then its target size."""
+    n = network.n_lines
+    if config.initial_weights is None:
+        first = network.lines[int(rng.integers(n))]
+    else:
+        weights = np.array([float(config.initial_weights.get(line, 0.0)) for line in network.lines])
+        cum = np.cumsum(weights / weights.sum())
+        first = network.lines[min(int(np.searchsorted(cum, rng.random(), "right")), n - 1)]
+    return first, config.size_model.sample_size(rng, n)
+
+
+def generate_pattern(network: Network, config: GeneratorConfig, rng) -> GeneratedPattern:
+    """One pattern drawn entirely from ``rng``: first draws, growth, then a circuit draw per multi-circuit line in line order."""
+    first, target = first_draws(network, config, rng)
+    lines = grow(network, first, target, config.p_one_plus, rng)
+    extra = set()
+    if config.p_circuits > 0.0:
+        for line in sorted(lines):
+            if network.multiplicity.get(line, 1) >= 2 and rng.random() < config.p_circuits:
+                extra.add(line)
+    return GeneratedPattern(Pattern(frozenset(lines)), frozenset(extra), target, len(lines))

@@ -255,6 +255,18 @@ def test_calibrate_bad_arguments_exit_2(tmp_path, path4, flags):
     assert not (tmp_path / "cal" / "calibration.json").exists()
 
 
+def test_calibrate_nan_tolerance_exit_2(pipeline, tmp_path):
+    # a NaN tolerance passed "tolerance < 0", and the run went on to write
+    # "tolerance": NaN into calibration.json, which is not JSON
+    rc = _run(
+        "calibrate", "--network", pipeline["ingest"] / "network.csv",
+        "--target", 0.5, "--s", 2.5, "--ensemble-size", 400,
+        "--tolerance", "nan", "--out", tmp_path / "cal",
+    )
+    assert rc == 2
+    assert not (tmp_path / "cal" / "calibration.json").exists()
+
+
 @pytest.mark.parametrize("threads", [0, -1])
 def test_threads_below_one_exit_2(tmp_path, threads):
     rc = _run("synth", "--kind", "grid-mesh", "--lines", 40, "--threads", threads, "--out", tmp_path)

@@ -18,6 +18,7 @@ from gridpatterns.ingest import (
     read_generations_csv,
     write_generations_csv,
 )
+from gridpatterns.lines import check_serializable_bus, format_line
 from gridpatterns.network import read_network_csv, write_network_csv
 from gridpatterns.patterns import read_patterns_file, write_patterns_file
 
@@ -116,8 +117,12 @@ def test_generations_reader_fuzz(rows, tail):
 @FUZZ
 @given(header=st.booleans(), rows=st.lists(st.tuples(BUS, BUS), max_size=3), tail=TEXTS)
 def test_alias_and_exclusion_readers_fuzz(header, rows, tail):
+    # every name either reader returns must be one the writers can write
     with tempfile.TemporaryDirectory() as directory:
         aliases = _write(directory, "aliases.csv", _csv("raw_name,canonical_name\n" if header else "", rows) + tail)
-        _reads(load_alias_map, aliases)
+        alias_map = _reads(load_alias_map, aliases)
+        for canonical in (alias_map or {}).values():
+            check_serializable_bus(canonical)
         exclusions = _write(directory, "exclusions.csv", _csv("from_bus,to_bus\n" if header else "", rows) + tail)
-        _reads(load_exclusions, exclusions)
+        for line in _reads(load_exclusions, exclusions, alias_map) or []:
+            format_line(line)

@@ -11,6 +11,7 @@ import pytest
 from scipy import stats
 
 import grow_oracle
+from test_rng import PCG_INC, fresh_state_with_output, generator_at, generator_state
 
 from gridpatterns.errors import CalibrationError
 from gridpatterns.generator import (
@@ -23,14 +24,13 @@ from gridpatterns.generator import (
     format_calibration_trace,
     format_generated_pattern,
     generate_ensemble,
-    generate_pattern,
     measure_p_one_plus_generated,
     write_generated_patterns,
 )
 from gridpatterns.lines import Line, parse_line
 from gridpatterns.network import Network
 from gridpatterns.patterns import Pattern, degree_sequence, parse_pattern
-from gridpatterns.rng import _restore, _saved, substream
+from gridpatterns.rng import Stream, substream
 from gridpatterns.synthnet import synthetic_network
 from gridpatterns.zipf import ZipfModel
 
@@ -41,6 +41,15 @@ def _config(s: float, p: float, **kwargs) -> GeneratorConfig:
 
 def _pattern(*lines) -> Pattern:
     return Pattern(frozenset(lines))
+
+
+def _stream(seed: int, *path: int) -> Stream:
+    """The package's stream ``(seed, *path)``, at the start numpy's substream has."""
+    return Stream(*generator_state(substream(seed, *path))[:2])
+
+
+def _state_of(stream: Stream) -> tuple[int, int, int]:
+    return stream.state, stream.inc, stream.half
 
 
 def _connected(lines) -> bool:
@@ -95,15 +104,14 @@ def test_single_line_network_always_single_line_patterns():
 
 def test_grow_along_forced_path(path4):
     # only degree-1 attachments exist on a path, so growth is forced
-    rng = substream(3)
-    lines = _grow(path4, ("A", "B"), 3, 0.0, rng)
+    lines = _grow(path4, ("A", "B"), 3, 0.0, _stream(3))
     assert lines == {("A", "B"), ("B", "C"), ("C", "D")}
-    lines = _grow(path4, ("B", "C"), 2, 0.7, substream(4))
+    lines = _grow(path4, ("B", "C"), 2, 0.7, _stream(4))
     assert lines in ({("A", "B"), ("B", "C")}, {("B", "C"), ("C", "D")})
 
 
 def test_grow_respects_target(mesh480):
-    rng = substream(9)
+    rng = _stream(9)
     for target in (1, 2, 5, 12):
         lines = _grow(mesh480, mesh480.lines[0], target, 0.4, rng)
         assert len(lines) == target
@@ -130,37 +138,84 @@ def _grow_cases(network: Network, pick) -> list[tuple[Line, int]]:
 
 @pytest.mark.parametrize("name", ["path3", "path4", "star4", "cycle4", "mesh480", "ba500"])
 def test_grow_matches_rebuild_oracle_draw_for_draw(name, request):
-    # the incremental sides must pick the same lines with the same draws as
-    # rebuilding and sorting them every step, and leave the stream in the
-    # same state, because the p_circuits draws and calibration follow it
+    # the incremental sides, drawing from the package's stream, must pick the
+    # same lines with the same draws as rebuilding and sorting them every
+    # step on a numpy Generator, and leave the stream in the same state,
+    # because the p_circuits draws and calibration follow it
     network = request.getfixturevalue(name)
     for case, (first, target) in enumerate(_grow_cases(network, substream(97))):
         for p_one_plus in (0.0, 0.3, 1.0):
-            mine, reference = substream(5, case), substream(5, case)
+            mine, reference = _stream(5, case), substream(5, case)
             grown = _grow(network, first, target, p_one_plus, mine)
             assert grown == grow_oracle.grow(network, first, target, p_one_plus, reference)
-            assert mine.bit_generator.state == reference.bit_generator.state
+            assert _state_of(mine) == generator_state(reference)
             assert len(grown) == min(target, network.n_lines)
 
 
-@pytest.mark.parametrize(
-    "case, digest",
-    [
-        ("mesh300", "5cbd2fb258cf231fa52be0bd3478c5210cbb553487d9b2b3429fa2c5ed04e61f"),
-        ("mesh480-weighted", "3efe5d2d32b8870e226c90ab3e0e3f45775258a17847c1d6a0c0eee6121a15d9"),
-    ],
-)
+_PINNED_ENSEMBLES = [
+    ("mesh300", "5cbd2fb258cf231fa52be0bd3478c5210cbb553487d9b2b3429fa2c5ed04e61f"),
+    ("mesh480-weighted", "3efe5d2d32b8870e226c90ab3e0e3f45775258a17847c1d6a0c0eee6121a15d9"),
+]
+
+
+def _pinned_case(case: str, mesh480: Network) -> tuple[Network, GeneratorConfig]:
+    if case == "mesh300":
+        return synthetic_network("grid-mesh", 300, seed=3), _config(2.0, 0.4, seed=17)
+    weights = {line: float(i % 4) for i, line in enumerate(mesh480.lines)}
+    return mesh480, _config(4.1, 0.4054, p_circuits=0.07, initial_weights=weights, seed=23)
+
+
+def _ensemble_digest(tmp_path, network: Network, config: GeneratorConfig) -> str:
+    path = tmp_path / "generated.txt"
+    write_generated_patterns(path, generate_ensemble(network, config, 2000, workers=1))
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case, digest", _PINNED_ENSEMBLES)
 def test_generated_ensemble_bytes_are_pinned(tmp_path, mesh480, case, digest):
     # digests recorded from the rebuild-every-step grower; any change to the
     # draws or picks of generation changes them
-    if case == "mesh300":
-        network, config = synthetic_network("grid-mesh", 300, seed=3), _config(2.0, 0.4, seed=17)
-    else:
-        weights = {line: float(i % 4) for i, line in enumerate(mesh480.lines)}
-        network, config = mesh480, _config(4.1, 0.4054, p_circuits=0.07, initial_weights=weights, seed=23)
-    path = tmp_path / "generated.txt"
-    write_generated_patterns(path, generate_ensemble(network, config, 2000))
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    assert _ensemble_digest(tmp_path, *_pinned_case(case, mesh480)) == digest
+
+
+def _pinned_calibration(mesh480: Network) -> CalibrationResult:
+    config = _config(3.0, 0.5, p_circuits=0.2, seed=29)
+    return calibrate_p_one_plus(mesh480, config, 0.4, ensemble_size=4000, tolerance=0.001, workers=1)
+
+
+# the generated value of every step of _pinned_calibration, uniform seed
+# lines, so growth starts on a kept 32-bit half
+_PINNED_CALIBRATION = (
+    0.2707622298065984,
+    0.9806598407281001,
+    0.5813424345847554,
+    0.3924914675767918,
+    0.4800910125142207,
+    0.4391353811149033,
+    0.4141069397042093,
+    0.40273037542662116,
+    0.3993174061433447,
+)
+
+
+def test_calibration_is_pinned(mesh480):
+    result = _pinned_calibration(mesh480)
+    assert tuple(step.generated_value for step in result.steps) == _PINNED_CALIBRATION
+    assert (result.p_one_plus, result.converged) == (0.2578125, True)
+
+
+def test_generation_never_builds_a_numpy_generator(tmp_path, mesh480, monkeypatch):
+    # every draw of generation and calibration is the package's own, so
+    # their outputs cannot move with numpy's Generator methods
+    cases = [(_pinned_case(case, mesh480), digest) for case, digest in _PINNED_ENSEMBLES]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pattern generation built a numpy Generator")
+
+    monkeypatch.setattr(np.random, "Generator", refuse)
+    for (network, config), digest in cases:
+        assert _ensemble_digest(tmp_path, network, config) == digest
+    assert tuple(step.generated_value for step in _pinned_calibration(mesh480).steps) == _PINNED_CALIBRATION
 
 
 @pytest.fixture(scope="module")
@@ -177,13 +232,13 @@ def _head_sampler(network: Network, weighted: bool, s: float = 3.0, seed: int = 
 
 
 def _seed_draws(sampler: _Sampler, rng: np.random.Generator) -> tuple[int, int, tuple]:
-    """The per-pattern first draws: seed-line id, target, then the full stream state after both."""
-    first, target = sampler.seed(rng)
-    return sampler.network.line_ids[first], target, _saved(rng)
+    """The per-pattern first draws on a numpy Generator: seed-line id, target, then the full stream state after both."""
+    first, target = grow_oracle.first_draws(sampler.network, sampler.config, rng)
+    return sampler.network.line_ids[first], target, generator_state(rng)
 
 
 def _head_rows(heads) -> list[tuple[int, int, tuple]]:
-    return [(int(h.line_ids[i]), int(h.targets[i]), h.saved(i)) for h in heads for i in range(len(h.targets))]
+    return [(int(line_id), int(target), _state_of(stream)) for h in heads for line_id, target, stream in zip(h.line_ids, h.targets, h.streams())]
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**63 + 5, 2**160 + 3])
@@ -198,34 +253,15 @@ def test_heads_match_per_pattern_seed_draws(head_networks, k_max, weighted, seed
         assert _head_rows(sampler.heads(start, stop)) == expected
 
 
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_INC = 0x5851F42D4C957F2D14057B7EF767814F
-
-
-def _fresh_state_with_output(k: int, x: int) -> int:
-    """A PCG64 state whose k-th next output is ``x``, with increment _INC.
-
-    XSL-RR does not rotate a state whose top six bits are 0 and outputs the
-    xor of its two words; stepping back k times inverts the LCG.
-    """
-    hi = 0x0123456789ABCDEF
-    state, inverse = hi << 64 | (hi ^ x), pow(_PCG_MULT, -1, 1 << 128)
-    for _ in range(k):
-        state = (state - _INC) * inverse % (1 << 128)
-    return state
-
-
 def _head_of_states(sampler: _Sampler, states: list[int]):
     def words(values):
         return (np.array([v >> 64 for v in values], np.uint64), np.array([v & (2**64 - 1) for v in values], np.uint64))
 
-    return sampler.head(words(states), words([_INC] * len(states)))
+    return sampler.head(words(states), words([PCG_INC] * len(states)))
 
 
 def _fresh_draws(sampler: _Sampler, state: int) -> tuple[int, int, tuple]:
-    rng = np.random.Generator(np.random.PCG64())
-    _restore(rng, (state, _INC, 0, 0))
-    return _seed_draws(sampler, rng)
+    return _seed_draws(sampler, generator_at(state))
 
 
 @pytest.mark.parametrize("k_max", [3, 300, 2000])
@@ -233,8 +269,8 @@ def test_head_redraws_where_the_bounded_draw_rejects(head_networks, k_max):
     # a first output with low half 0 rejects for any line count that is not
     # a power of two, so numpy draws the buffered high half next
     sampler = _head_sampler(head_networks[k_max], weighted=False)
-    states = [_fresh_state_with_output(1, high << 32) for high in (0, 1, 2**31 + 7, 2**32 - 1)]
-    states.append(_fresh_state_with_output(1, 12345))
+    states = [fresh_state_with_output(1, high << 32) for high in (0, 1, 2**31 + 7, 2**32 - 1)]
+    states.append(fresh_state_with_output(1, 12345))
     assert _head_rows([_head_of_states(sampler, states)]) == [_fresh_draws(sampler, s) for s in states]
 
 
@@ -246,7 +282,7 @@ def test_head_size_ties_break_like_the_scalar_draw(head_networks, weighted):
     sampler = _head_sampler(head_networks[300], weighted, s=2.0)
     cdf = np.cumsum(np.arange(1, 301, dtype=float) ** -2.0 / ZipfModel(2.0).zeta_s)
     ties = [float(c) for c in cdf[:40] if c >= 0.5]
-    states = [_fresh_state_with_output(2, int(u * 2**53) << 11) for u in ties]
+    states = [fresh_state_with_output(2, int(u * 2**53) << 11) for u in ties]
     rows = _head_rows([_head_of_states(sampler, states)])
     assert rows == [_fresh_draws(sampler, s) for s in states]
     assert [row[1] for row in rows] == [int(np.searchsorted(cdf, u, "left")) + 1 for u in ties]
@@ -254,12 +290,12 @@ def test_head_size_ties_break_like_the_scalar_draw(head_networks, weighted):
 
 @pytest.mark.parametrize("p_circuits", [0.0, 0.07, 1.0])
 def test_one_line_patterns_draw_circuits_like_the_scalar_path(mesh480, p_circuits):
-    # most s=4.1 patterns are one line; their circuit draw comes from the
-    # block arithmetic, not a Generator
+    # most s=4.1 patterns are one line; every pattern's draws, the circuit
+    # draws included, must equal the model's on a numpy Generator
     config = _config(4.1, 0.4, p_circuits=p_circuits, seed=19)
     count = 1500
     ensemble = generate_ensemble(mesh480, config, count)
-    assert ensemble == [generate_pattern(mesh480, config, substream(19, i)) for i in range(count)]
+    assert ensemble == [grow_oracle.generate_pattern(mesh480, config, substream(19, i)) for i in range(count)]
     doubled = [gp for gp in ensemble if gp.achieved_size == 1 and mesh480.multiplicity.get(min(gp.pattern.lines), 1) >= 2]
     assert len(doubled) > 20
     extra = sum(1 for gp in doubled if gp.extra_circuits)
@@ -308,13 +344,12 @@ def test_ensemble_count_validation(path3):
 
 
 def test_initial_weights_validation(path3):
-    rng = substream(0)
     with pytest.raises(ValueError):
-        generate_pattern(path3, _config(2.0, 0.5, initial_weights={("Q", "Z"): 1.0}), rng)
+        generate_ensemble(path3, _config(2.0, 0.5, initial_weights={("Q", "Z"): 1.0}), 1)
     with pytest.raises(ValueError):
-        generate_pattern(path3, _config(2.0, 0.5, initial_weights={("A", "B"): -1.0}), rng)
+        generate_ensemble(path3, _config(2.0, 0.5, initial_weights={("A", "B"): -1.0}), 1)
     with pytest.raises(ValueError):
-        generate_pattern(path3, _config(2.0, 0.5, initial_weights={("A", "B"): 0.0}), rng)
+        generate_ensemble(path3, _config(2.0, 0.5, initial_weights={("A", "B"): 0.0}), 1)
 
 
 def test_initial_weights_frequencies(path3):
@@ -444,6 +479,7 @@ def test_calibration_target_validation(path3):
         {"ensemble_size": 0},
         {"ensemble_size": -5},
         {"tolerance": -0.001},
+        {"tolerance": float("nan")},
     ],
 )
 def test_calibration_rejects_bad_arguments(mesh480, kwargs):
@@ -482,7 +518,7 @@ def test_calibration_with_uniform_seed_lines_matches_full_regeneration(mesh480):
 
 
 def test_saturation_on_small_network(path3):
-    lines = _grow(path3, ("A", "B"), 10, 0.5, substream(1))
+    lines = _grow(path3, ("A", "B"), 10, 0.5, _stream(1))
     assert lines == {("A", "B"), ("B", "C")}
     gp = GeneratedPattern(Pattern(frozenset(lines)), frozenset(), 10, 2)
     assert gp.saturated

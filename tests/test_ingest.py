@@ -197,6 +197,30 @@ def test_generations_csv_rejects_unwritable_bus_names(tmp_path, bus):
         read_generations_csv(path)
 
 
+@pytest.mark.parametrize("canonical", ["", "A-X", "A;B", "A|X", '"A,X"'])
+def test_alias_map_rejects_unwritable_canonical_names(tmp_path, canonical):
+    # the fault must be reported against the alias file, not later against
+    # the outage row that uses the alias
+    path = tmp_path / "aliases.csv"
+    path.write_text(f"raw_name,canonical_name\nY,CLEAN\nX,{canonical}\n")
+    with pytest.raises(InputFormatError, match=r"aliases\.csv: line 3"):
+        load_alias_map(path)
+
+
+@pytest.mark.parametrize("row", [",A", "A,", " ,A", "A-X,B", "A,B|C", "A,\"B,C\""])
+def test_load_exclusions_rejects_empty_and_unwritable_bus_names(tmp_path, row):
+    # an exclusion with an empty bus matches no line and would be void
+    path = tmp_path / "exclusions.csv"
+    path.write_text(f"from_bus,to_bus\nA,B\n{row}\n")
+    with pytest.raises(InputFormatError, match=r"exclusions\.csv: line 3"):
+        load_exclusions(path)
+    # the check applies after aliasing, so a raw name mapped to a clean one stays legal
+    aliases = tmp_path / "aliases.csv"
+    aliases.write_text('raw_name,canonical_name\nA-X,ALPHA\n')
+    if row == "A-X,B":
+        assert load_exclusions(path, load_alias_map(aliases)) == [("A", "B"), ("ALPHA", "B")]
+
+
 def test_load_exclusions_normalizes(tmp_path):
     path = tmp_path / "exclusions.csv"
     path.write_text("from_bus,to_bus\n beta ,ALPHA\n")

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from gridpatterns.rng import (
+    Stream,
     _bounded_uint32,
     _next_double,
     _pcg64_next,
     _pcg64_states,
-    _saved,
     derive_seed,
     substream,
 )
@@ -49,6 +49,36 @@ def test_derived_seed_namespaces_do_not_collide():
     a = substream(derive_seed(0, 1), 0).random(4)
     b = substream(derive_seed(0, 2), 0).random(4)
     assert not np.array_equal(a, b)
+
+
+PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+PCG_INC = 0x5851F42D4C957F2D14057B7EF767814F
+
+
+def fresh_state_with_output(k: int, x: int) -> int:
+    """A PCG64 state whose k-th next output is ``x``, with increment PCG_INC.
+
+    XSL-RR does not rotate a state whose top six bits are 0 and outputs the
+    xor of its two words; stepping back k times inverts the LCG.
+    """
+    hi = 0x0123456789ABCDEF
+    state, inverse = hi << 64 | (hi ^ x), pow(PCG_MULT, -1, 1 << 128)
+    for _ in range(k):
+        state = (state - PCG_INC) * inverse % (1 << 128)
+    return state
+
+
+def generator_at(state: int, inc: int = PCG_INC) -> np.random.Generator:
+    """A numpy Generator on PCG64 at ``state`` and ``inc``, with no kept half."""
+    bit_generator = np.random.PCG64()
+    bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bit_generator)
+
+
+def generator_state(rng: np.random.Generator) -> tuple[int, int, int]:
+    """A PCG64 Generator's LCG state, increment and kept 32-bit half (-1 if none), read from numpy's state dict."""
+    state = rng.bit_generator.state
+    return state["state"]["state"], state["state"]["inc"], state["uinteger"] if state["has_uint32"] else -1
 
 
 def _numpy_state(seed, i):
@@ -106,7 +136,35 @@ def test_bounded_draw_matches_numpy_integers(n):
     for i, (step, increment, output) in enumerate(zip(_ints(after), _ints(inc), x.tolist())):
         rng = substream(11, i)
         value = int(rng.integers(n))
-        kept = _saved(rng) == (step, increment, 1, output >> 32)
+        kept = generator_state(rng) == (step, increment, output >> 32)
         assert kept != rejected[i]
         if kept:
             assert value == values[i]
+
+
+_BOUNDS = (1, 2, 3, 2**5, 2**16, 2**31, 2**31 + 1, 3 * 2**30, 2**32 - 1)
+
+
+@pytest.mark.parametrize("n", _BOUNDS)
+def test_stream_draws_as_numpy_generator(n):
+    # integers(n) first, then random() and integers(k) interleaved in a
+    # fixed random order, the bound k mostly n.  Half of the starts have a
+    # first output whose low half is 0, so that first draw rejects for any
+    # n > 1 that is not a power of two, (2**32 - n) % n being positive then.
+    # The state, the kept half included, must agree after every draw.
+    starts = [(fresh_state_with_output(1, high << 32), PCG_INC) for high in (0, 1, 2**31 + 7, 2**32 - 1)]
+    starts += [_numpy_state(13, i) for i in range(4)]
+    script = substream(99, n)
+    for state, inc in starts:
+        mine, numpy_rng = Stream(state, inc), generator_at(state, inc)
+        assert mine.integers(n) == int(numpy_rng.integers(n))
+        assert (mine.state, mine.inc, mine.half) == generator_state(numpy_rng)
+        for _ in range(40):
+            op = int(script.integers(4))
+            if op == 0:
+                assert mine.random() == numpy_rng.random()
+            else:
+                k = n if op < 3 else _BOUNDS[int(script.integers(len(_BOUNDS)))]
+                assert mine.integers(k) == int(numpy_rng.integers(k))
+            assert (mine.state, mine.inc, mine.half) == generator_state(numpy_rng)
+
