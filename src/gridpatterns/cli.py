@@ -40,9 +40,7 @@ def _write_manifest(out_dir: Path, command: str, inputs: dict, parameters: dict,
         "parameters": parameters,
         "outputs": {path.name: _sha256(path) for path in outputs},
     }
-    with open(out_dir / "manifest.json", "w", newline="") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "manifest.json", manifest)
 
 
 def _out_dir(args) -> Path:

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DegenerateDataError
-from .patterns import DegreeSequence, _as_sequences, check_degree_sequence, line_count
+from .patterns import DegreeSequence, _sequence_counts, check_degree_sequence, line_count
 
 
 def is_connected_graphical(seq: Sequence[int]) -> bool:
@@ -222,9 +222,10 @@ class SequenceGraph:
 
     The nodes are every connected-graphical degree sequence, so a distance
     is the true one-line-edit metric.  Each distance starts from the
-    counting lower bound; a bounded best-first search settles the pairs the
-    bound does not decide outright, diving along bound-tight moves first.
-    Pair results and neighbor tuples are memoized on the instance.
+    counting lower bound; a bounded best-first search on depth plus bound
+    settles the pairs the bound does not decide outright, with ties going
+    to the deeper node.  Pair results and neighbor tuples are memoized on
+    the instance.
     """
 
     def __init__(self):
@@ -336,14 +337,10 @@ def empirical_distribution(items: Iterable) -> PatternDistribution:
     ``pattern`` attribute), raw line sets, or degree-sequence tuples.  Extra
     circuits on generated patterns do not change the degree sequence.
     """
-    seqs = _as_sequences(items)
-    if not seqs:
+    counts = _sequence_counts(items)
+    if not counts:
         raise DegenerateDataError("no patterns to build a distribution from")
-    counts = collections.Counter(seqs)
-    total = len(seqs)
-    support = tuple(sorted(counts, key=lambda s: (line_count(s), s)))
-    probs = np.array([counts[s] / total for s in support], dtype=float)
-    return PatternDistribution(support, probs)
+    return PatternDistribution(tuple(counts), np.array(list(counts.values())) / counts.total())
 
 
 class TransportSolver:

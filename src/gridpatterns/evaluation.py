@@ -9,17 +9,18 @@ how often a split at least as distant as the observed one arises by chance.
 from __future__ import annotations
 
 import statistics
+from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .distance import _GRAPH, TransportSolver
 from .errors import DegenerateDataError
-from .generator import GeneratorConfig, generate_ensemble
+from .generator import GeneratorConfig, _ensemble_counts
 from .network import Network
 from .parallel import pool_size, process_pool, run_all
-from .patterns import DegreeSequence, SizeHistogram, _as_sequences, line_count
+from .patterns import DegreeSequence, SizeHistogram, _sequence_counts, line_count
 from .rng import derive_seed, substream
 from .zipf import ZipfModel
 
@@ -46,21 +47,32 @@ def permutation_test(
     p-value is 1/(permutations + 1).  Every statistic is solved exactly on
     integer counts, so ties compare exactly.  The two inputs are ordered
     canonically first, which makes the result invariant under swapping them.
+    Accepts Patterns, generated patterns, line sets, or degree-sequence
+    tuples.
     """
+    rng = substream(0) if rng is None else rng
+    return _permutation_test(_sequence_counts(set_a), _sequence_counts(set_b), permutations, rng)
+
+
+def _permutation_test(
+    counts_a: Counter[DegreeSequence], counts_b: Counter[DegreeSequence], permutations: int, rng: np.random.Generator
+) -> PermutationTestResult:
+    """:func:`permutation_test` on the two sets' degree-sequence counts, all positive."""
     if permutations < 1:
         raise ValueError("need at least one permutation")
-    seqs_a = _as_sequences(set_a)
-    seqs_b = _as_sequences(set_b)
-    if not seqs_a or not seqs_b:
+    if not counts_a or not counts_b:
         raise DegenerateDataError("both pattern sets must be non-empty")
-    if rng is None:
-        rng = substream(0)
-    first, second = sorted((sorted(seqs_a), sorted(seqs_b)), key=lambda s: (len(s), s))
-    pool = first + second
-    n_first, n_second = len(first), len(second)
-    support = sorted(set(pool), key=lambda s: (line_count(s), s))
+    # each half as sorted (sequence, count) runs, the halves in the order of
+    # their sorted expansions: by size, then at the first differing run by
+    # the smaller sequence, or else by the larger count
+    first, second = sorted(
+        (sorted(counts_a.items()), sorted(counts_b.items())),
+        key=lambda runs: (sum(c for _, c in runs), [(s, -c) for s, c in runs]),
+    )
+    n_first, n_second = (sum(c for _, c in runs) for runs in (first, second))
+    support = sorted(counts_a.keys() | counts_b.keys(), key=lambda s: (line_count(s), s))
     index = {seq: i for i, seq in enumerate(support)}
-    pool_idx = np.array([index[s] for s in pool], dtype=np.int64)
+    pool_idx = np.repeat([index[s] for s, _ in first + second], [c for _, c in first + second])
     solver = TransportSolver(_GRAPH.distance_matrix(support, support))
     n_support = len(support)
 
@@ -115,21 +127,11 @@ class EvaluationReport:
 
 
 def _evaluate_repetition(
-    observed_seqs: list[DegreeSequence],
-    network: Network,
-    config: GeneratorConfig,
-    permutations: int,
-    seed: int,
-    index: int,
+    observed: Counter[DegreeSequence], network: Network, config: GeneratorConfig, permutations: int, seed: int, index: int
 ) -> tuple[float, float]:
     gen_config = replace(config, seed=derive_seed(seed, 0, index))
-    ensemble = generate_ensemble(network, gen_config, len(observed_seqs))
-    result = permutation_test(
-        observed_seqs,
-        _as_sequences(ensemble),
-        permutations=permutations,
-        rng=substream(seed, 1, index),
-    )
+    generated = _ensemble_counts(network, gen_config, observed.total())
+    result = _permutation_test(observed, generated, permutations, substream(seed, 1, index))
     return result.observed_statistic, result.p_value
 
 
@@ -152,16 +154,12 @@ def evaluate_model(
     """
     if repetitions < 1:
         raise ValueError("need at least one repetition")
-    observed_seqs = _as_sequences(observed)
-    if not observed_seqs:
+    observed_counts = _sequence_counts(observed)
+    if not observed_counts:
         raise DegenerateDataError("no observed patterns to evaluate against")
-    args = [
-        (observed_seqs, network, config, permutations, seed, i) for i in range(repetitions)
-    ]
+    args = [(observed_counts, network, config, permutations, seed, i) for i in range(repetitions)]
     with process_pool(pool_size(workers, repetitions)) as pool:
-        results = run_all(pool, _evaluate_repetition, args)
-    distances = tuple(r[0] for r in results)
-    p_values = tuple(r[1] for r in results)
+        distances, p_values = zip(*run_all(pool, _evaluate_repetition, args))
     return EvaluationReport(distances, p_values, permutations, seed)
 
 

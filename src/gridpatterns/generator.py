@@ -26,6 +26,7 @@ streams of just the patterns with target 3 or more.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -36,11 +37,12 @@ from .lines import Line, format_line
 from .network import Network
 from .parallel import index_chunks, pool_size, process_pool, run_all
 from .patterns import (
+    DegreeSequence,
     Pattern,
+    _branching_sums,
     _trusted_pattern,
     degree_sequence,
     format_pattern,
-    n_one_plus,
     p_one_plus_observed,
 )
 from .rng import _BLOCK, Stream, Words, _bounded_uint32, _next_double, _pcg64_next, _pcg64_states
@@ -290,13 +292,8 @@ def generate_ensemble(
 
 
 def measure_p_one_plus_generated(generated: Iterable[GeneratedPattern]) -> float | None:
-    """Branching-probability estimate over generated patterns.
-
-    Uses the same pooled estimator as for observed patterns, so calibration
-    compares like with like.  Returns None when no generated pattern has 3
-    or more lines.
-    """
-    return p_one_plus_observed(g.pattern for g in generated)
+    """:func:`p_one_plus_observed` over generated patterns, so calibration compares like with like."""
+    return p_one_plus_observed(generated)
 
 
 @dataclass(frozen=True)
@@ -325,30 +322,37 @@ class CalibrationResult:
 _Seed = tuple[Line, int, Stream]
 
 
-def _seed_chunk(network: Network, config: GeneratorConfig, start: int, stop: int) -> list[_Seed]:
-    """Seed line, target and stream after both, for patterns in [start, stop) with target >= 3.
+def _seed_chunk(network: Network, config: GeneratorConfig, start: int, stop: int) -> tuple[Counter, list[_Seed]]:
+    """Patterns in [start, stop): the degree-sequence counts of those with target 1 or 2, and the seeds of the rest.
 
-    A target of 1 or 2 never draws against p_one_plus and never counts in
-    the branching estimator, so calibration can drop those patterns.
+    Targets 1 and 2 never draw against p_one_plus or count in the branching
+    estimator, and they give ``(1, 1)`` and ``(2, 1, 1)``: growth on a
+    connected network of two or more lines always reaches a second line, and
+    a one-line network caps every target at 1.  A seed is the seed line,
+    target and stream after both draws of a pattern with target 3 or more.
     """
     sampler = _Sampler(network, config)
-    out = []
+    small: Counter[DegreeSequence] = Counter()
+    seeds = []
     for head in sampler.heads(start, stop):
+        small[(1, 1)] += int(np.count_nonzero(head.targets == 1))
+        small[(2, 1, 1)] += int(np.count_nonzero(head.targets == 2))
         keep = np.flatnonzero(head.targets >= 3)
         for line_id, target, stream in zip(head.line_ids[keep].tolist(), head.targets[keep].tolist(), head.streams(keep)):
-            out.append((network.lines[line_id], target, stream))
-    return out
+            seeds.append((network.lines[line_id], target, stream))
+    return small, seeds
 
 
-def _branching_counts(network: Network, p_one_plus: float, seeds: list[_Seed]) -> tuple[int, int]:
-    """Regrow cached patterns; sum (n_one_plus - 1) and (lines - 2) over those of 3 or more lines."""
-    numerator = denominator = 0
-    for first, target, stream in seeds:
-        lines = _grow(network, first, target, p_one_plus, stream.copy())
-        if len(lines) >= 3:
-            numerator += n_one_plus(degree_sequence(lines)) - 1
-            denominator += len(lines) - 2
-    return numerator, denominator
+def _grown_counts(network: Network, p_one_plus: float, seeds: list[_Seed]) -> Counter[DegreeSequence]:
+    """Degree-sequence counts of the seeded patterns, each grown at ``p_one_plus`` from a copy of its stream."""
+    grown = (_grow(network, first, target, p_one_plus, stream.copy()) for first, target, stream in seeds)
+    return Counter(map(degree_sequence, grown))
+
+
+def _ensemble_counts(network: Network, config: GeneratorConfig, count: int) -> Counter[DegreeSequence]:
+    """Positive degree-sequence counts of :func:`generate_ensemble`'s patterns; circuits change none, so none is drawn."""
+    small, seeds = _seed_chunk(network, config, 0, count)
+    return small + _grown_counts(network, config.p_one_plus, seeds)
 
 
 def calibrate_p_one_plus(
@@ -371,10 +375,7 @@ def calibrate_p_one_plus(
     numbers only patterns of target size 3 or more depend on the parameter
     or count in the estimator: their seed lines, targets and streams are
     drawn once, and each iterate regrows only those patterns, each from a
-    copy of its cached stream.  The pre-pass computes every pattern's two
-    first draws in blocks of uint64 array arithmetic (:meth:`_Sampler.head`)
-    and keeps a :class:`rng.Stream` for the patterns of target 3 or more
-    alone.
+    copy of its cached stream.
 
     Raises ValueError for a target outside [0, 1], an ensemble_size or
     max_iterations below 1, or a tolerance that is negative or NaN.  Raises
@@ -393,18 +394,18 @@ def calibrate_p_one_plus(
     processes = pool_size(workers, ensemble_size)
     tasks = [(network, config, lo, hi) for lo, hi in index_chunks(ensemble_size, processes)]
     with process_pool(processes) as pool:
-        seeds = [part for part in run_all(pool, _seed_chunk, tasks) if part]
+        seeds = [part for _, part in run_all(pool, _seed_chunk, tasks) if part]
 
         def measure(p: float) -> float:
-            counts = run_all(pool, _branching_counts, [(network, p, part) for part in seeds])
-            denominator = sum(d for _, d in counts)
+            counts = sum(run_all(pool, _grown_counts, [(network, p, part) for part in seeds]), Counter())
+            numerator, denominator = _branching_sums(counts)
             if denominator == 0:
                 raise CalibrationError(
                     "no generated pattern had 3 or more lines; the network or "
                     "size model cannot express the branching statistic",
                     target=target,
                 )
-            return sum(n for n, _ in counts) / denominator
+            return numerator / denominator
 
         return _bisect(measure, target, tolerance, max_iterations)
 

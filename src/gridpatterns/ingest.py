@@ -77,8 +77,8 @@ class ParseResult:
 def load_alias_map(path) -> dict[str, str]:
     """Load a ``raw_name,canonical_name`` CSV into a normalized alias map.
 
-    A canonical name the writers would reject raises InputFormatError
-    naming the offending line.
+    An empty raw name, or a canonical name the writers would reject, raises
+    InputFormatError naming the offending line.
     """
     aliases: dict[str, str] = {}
     with open(path, newline="") as fh:
@@ -91,6 +91,8 @@ def load_alias_map(path) -> dict[str, str]:
                 raise InputFormatError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
             raw, canon = (normalize_bus(cell) for cell in row)
             try:
+                if not raw:
+                    raise ValueError("empty raw bus name")
                 aliases[raw] = check_serializable_bus(canon)
             except ValueError as exc:
                 raise InputFormatError(f"{path}: line {lineno}: {exc}") from exc

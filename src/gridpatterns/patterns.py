@@ -9,13 +9,14 @@ the statistic all later comparisons are built on.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DegenerateDataError, InputFormatError
 from .ingest import GenerationGroup
-from .lines import Line, canonical_line, components, format_line, parse_line
+from .lines import Line, components, format_line, parse_line
 from .network import Network, pattern_degrees
 
 DegreeSequence = tuple[int, ...]
@@ -105,17 +106,14 @@ def check_degree_sequence(seq: Sequence[int]) -> DegreeSequence:
     return out
 
 
-def _as_sequences(items: Iterable) -> list[DegreeSequence]:
-    """Degree sequence of each item: a Pattern, anything with a ``pattern`` attribute, a line set, or a degree-sequence tuple."""
-    out: list[DegreeSequence] = []
+def _sequence_counts(items: Iterable) -> Counter[DegreeSequence]:
+    """Degree-sequence counts of items: Patterns, anything with a ``pattern`` attribute, line sets, or checked degree sequences."""
+    counts: Counter[DegreeSequence] = Counter()
     for item in items:
-        if hasattr(item, "pattern"):
-            item = item.pattern
-        if isinstance(item, tuple) and item and isinstance(item[0], int):
-            out.append(check_degree_sequence(item))
-        else:
-            out.append(degree_sequence(item))
-    return out
+        item = getattr(item, "pattern", item)
+        is_sequence = isinstance(item, (tuple, list)) and item and isinstance(item[0], int)
+        counts[check_degree_sequence(item) if is_sequence else degree_sequence(item)] += 1
+    return counts
 
 
 def line_count(seq: Sequence[int]) -> int:
@@ -142,24 +140,28 @@ def n_one_plus(seq: Sequence[int]) -> int:
     return sum(1 for d in canon if d >= 2)
 
 
-def p_one_plus_observed(patterns: Iterable[Pattern | Sequence[int]]) -> float | None:
+def _branching_sums(counts: Mapping[DegreeSequence, int]) -> tuple[int, int]:
+    """Pooled (n_one_plus - 1) and (line_count - 2) over the counted sequences of 3 or more lines."""
+    numerator = denominator = 0
+    for seq, count in counts.items():
+        n = line_count(seq)
+        if n >= 3:
+            numerator += count * (n_one_plus(seq) - 1)
+            denominator += count * (n - 2)
+    return numerator, denominator
+
+
+def p_one_plus_observed(patterns: Iterable) -> float | None:
     """Pooled branching-probability estimate over patterns with >= 3 lines.
 
-    Each growth step beyond the second line of a pattern either extends the
-    pattern at a new bus or thickens it at an already-doubled bus; pooling
-    (n_one_plus - 1) successes over (line_count - 2) steps across all
-    qualifying patterns estimates the probability of the first kind of step.
-    Returns None when no pattern has 3 or more lines.
+    Accepts Patterns, generated patterns, line sets, or degree-sequence
+    tuples.  Each growth step beyond the second line of a pattern either
+    extends the pattern at a new bus or thickens it at an already-doubled
+    bus; pooling (n_one_plus - 1) successes over (line_count - 2) steps
+    across all qualifying patterns estimates the probability of the first
+    kind of step.  Returns None when no pattern has 3 or more lines.
     """
-    numerator = 0
-    denominator = 0
-    for item in patterns:
-        seq = degree_sequence(item) if isinstance(item, Pattern) else check_degree_sequence(item)
-        n = line_count(seq)
-        if n < 3:
-            continue
-        numerator += n_one_plus(seq) - 1
-        denominator += n - 2
+    numerator, denominator = _branching_sums(_sequence_counts(patterns))
     if denominator == 0:
         return None
     return numerator / denominator
@@ -269,11 +271,7 @@ def format_degree_sequence(seq: Sequence[int]) -> str:
 
 def write_degree_sequence_counts(path, patterns: Iterable[Pattern]) -> None:
     """Write ``degree_sequence,count`` rows, most frequent first."""
-    counts: dict[DegreeSequence, int] = {}
-    for pattern in patterns:
-        seq = degree_sequence(pattern)
-        counts[seq] = counts.get(seq, 0) + 1
-    rows = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+    rows = sorted(_sequence_counts(patterns).items(), key=lambda item: (-item[1], item[0]))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("degree_sequence", "count"))

@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateDataError, NoFiniteMLEError
+from .rng import Stream
 
 # Euler-Maclaurin evaluation of zeta: direct sum below _ZETA_CUTOFF plus the
 # integral, half-term, and Bernoulli corrections through B8 at the cutoff.
@@ -94,9 +95,11 @@ class ZipfModel:
         head = sum(self.pmf(k) for k in range(1, cutoff))
         return 1.0 - head
 
-    def sample_size(self, rng: np.random.Generator, k_max: int) -> int:
+    def sample_size(self, rng: Stream, k_max: int) -> int:
         """Draw one size by inverse transform, truncating at ``k_max``.
 
+        ``rng`` is a pattern's :class:`rng.Stream`, or anything else whose
+        ``random()`` returns a double in [0, 1), such as a numpy Generator.
         The tail mass beyond k_max collapses onto k_max itself, which keeps
         draws usable as target sizes on a finite network.
         """

@@ -1,5 +1,5 @@
-"""Demo 04's synth, ingest, extract and fit stages reproduce the tracked
-``demos/demo_output/`` byte for byte."""
+"""Every stage of demo 04 reproduces the tracked ``demos/demo_output/``
+byte for byte."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import pytest
 from gridpatterns import cli
 
 DEMO_OUTPUT = Path(__file__).resolve().parents[1] / "demos" / "demo_output"
-STAGES = ("synth", "ingest", "extract", "fit/inferred")
+STAGES = ("synth", "ingest", "extract", "fit/inferred", "fit/true", "calibrate", "evaluate")
 
 
 def _run(*argv) -> None:
@@ -20,9 +20,11 @@ def _run(*argv) -> None:
 
 @pytest.fixture(scope="module")
 def rerun(tmp_path_factory) -> Path:
-    """The stages of ``demos/04_full_pipeline.py`` up to the inferred fit, with its arguments."""
+    """The stages of ``demos/04_full_pipeline.py``, with its arguments."""
     root = tmp_path_factory.mktemp("demo_output")
-    synth, ingest, extract, fit = (root / name for name in ("synth", "ingest", "extract", "fit"))
+    synth, ingest, extract, fit, calibrate, evaluate = (
+        root / name for name in ("synth", "ingest", "extract", "fit", "calibrate", "evaluate")
+    )
     _run("synth", "--kind", "grid-mesh", "--lines", "300",
          "--multi-circuit-fraction", "0.1", "--history-count", "5000",
          "--s", "4.1", "--p-one-plus", "0.3", "--p-circuits", "0.07",
@@ -33,6 +35,21 @@ def rerun(tmp_path_factory) -> Path:
     _run("fit", "--patterns", extract / "patterns.txt",
          "--generations", ingest / "generations.csv",
          "--network", ingest / "network.csv", "--out", fit / "inferred")
+    _run("fit", "--patterns", extract / "patterns.txt",
+         "--generations", ingest / "generations.csv",
+         "--network", synth / "network.csv", "--out", fit / "true")
+    report = json.loads((fit / "true" / "fit.json").read_text())
+    _run("calibrate", "--network", synth / "network.csv",
+         "--target", report["p_one_plus_observed"],
+         "--s", report["s"], "--p-circuits", report["p_circuits"],
+         "--ensemble-size", "20000", "--tolerance", "0.01",
+         "--seed", "5", "--out", calibrate)
+    knob = json.loads((calibrate / "calibration.json").read_text())["p_one_plus"]
+    _run("evaluate", "--network", synth / "network.csv",
+         "--patterns", extract / "patterns.txt",
+         "--s", report["s"], "--p-one-plus", knob, "--p-circuits", report["p_circuits"],
+         "--repetitions", "20", "--permutations", "199",
+         "--seed", "5", "--out", evaluate)
     return root
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from gridpatterns import generator
 from gridpatterns.errors import DegenerateDataError
 from gridpatterns.evaluation import (
     EvaluationReport,
@@ -178,6 +179,28 @@ def test_evaluate_model_self_consistency(mesh480):
         observed, mesh480, config, repetitions=10, permutations=99, seed=9
     )
     assert report.count_p_at_least(0.05) >= 8
+
+
+@pytest.mark.parametrize(
+    "weighted, distances, p_values",
+    [
+        # recorded from the evaluation that generated every pattern of each
+        # repetition's ensemble and converted them to degree sequences
+        (False, (0.205, 0.39, 0.265), (0.52, 0.24, 0.42)),
+        (True, (0.215, 0.39, 0.275), (0.52, 0.26, 0.4)),
+    ],
+)
+def test_evaluate_model_is_pinned_and_builds_no_pattern(mesh480, monkeypatch, weighted, distances, p_values):
+    observed = generate_ensemble(mesh480, GeneratorConfig(ZipfModel(2.5), 0.3, p_circuits=0.07, seed=61), 200)
+    weights = {line: float(i % 4) for i, line in enumerate(mesh480.lines)} if weighted else None
+    config = GeneratorConfig(ZipfModel(2.5), 0.35, p_circuits=0.07, initial_weights=weights)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluate_model built a generated pattern")
+
+    monkeypatch.setattr(generator, "_with_circuits", refuse)
+    report = evaluate_model(observed, mesh480, config, repetitions=3, permutations=49, seed=5)
+    assert (report.distances, report.p_values) == (distances, p_values)
 
 
 def test_evaluate_model_input_validation(path3):

@@ -6,7 +6,7 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridpatterns.errors import DegenerateDataError, InputFormatError
@@ -116,12 +116,14 @@ def test_generations_reader_fuzz(rows, tail):
 
 @FUZZ
 @given(header=st.booleans(), rows=st.lists(st.tuples(BUS, BUS), max_size=3), tail=TEXTS)
+@example(header=True, rows=[("", "A")], tail="")
 def test_alias_and_exclusion_readers_fuzz(header, rows, tail):
     # every name either reader returns must be one the writers can write
     with tempfile.TemporaryDirectory() as directory:
         aliases = _write(directory, "aliases.csv", _csv("raw_name,canonical_name\n" if header else "", rows) + tail)
         alias_map = _reads(load_alias_map, aliases)
-        for canonical in (alias_map or {}).values():
+        for raw, canonical in (alias_map or {}).items():
+            assert raw, "an empty raw name would alias every empty bus field"
             check_serializable_bus(canonical)
         exclusions = _write(directory, "exclusions.csv", _csv("from_bus,to_bus\n" if header else "", rows) + tail)
         for line in _reads(load_exclusions, exclusions, alias_map) or []:

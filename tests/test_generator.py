@@ -18,6 +18,7 @@ from gridpatterns.generator import (
     CalibrationResult,
     GeneratedPattern,
     GeneratorConfig,
+    _ensemble_counts,
     _grow,
     _Sampler,
     calibrate_p_one_plus,
@@ -29,7 +30,7 @@ from gridpatterns.generator import (
 )
 from gridpatterns.lines import Line, parse_line
 from gridpatterns.network import Network
-from gridpatterns.patterns import Pattern, degree_sequence, parse_pattern
+from gridpatterns.patterns import Pattern, _sequence_counts, degree_sequence, parse_pattern
 from gridpatterns.rng import Stream, substream
 from gridpatterns.synthnet import synthetic_network
 from gridpatterns.zipf import ZipfModel
@@ -202,6 +203,22 @@ def test_calibration_is_pinned(mesh480):
     result = _pinned_calibration(mesh480)
     assert tuple(step.generated_value for step in result.steps) == _PINNED_CALIBRATION
     assert (result.p_one_plus, result.converged) == (0.2578125, True)
+
+
+@pytest.mark.parametrize("case", ["mesh300", "mesh480-weighted", "mesh480-s2.5", "one-line", "two-line"])
+def test_ensemble_counts_equal_the_counted_ensemble(mesh480, case):
+    # targets 1 and 2 are counted without growth and circuits are never
+    # drawn, yet the counts must be those of the full ensemble
+    if case in dict(_PINNED_ENSEMBLES):
+        network, config = _pinned_case(case, mesh480)
+    elif case == "mesh480-s2.5":
+        network, config = mesh480, _config(2.5, 0.3, p_circuits=0.07, seed=31)
+    else:
+        lines = [("A", "B")] if case == "one-line" else [("A", "B"), ("B", "C")]
+        network, config = Network(lines), _config(1.5, 0.5, p_circuits=1.0, seed=5)
+    counts = _ensemble_counts(network, config, 2000)
+    assert counts == _sequence_counts(generate_ensemble(network, config, 2000))
+    assert all(count > 0 for count in counts.values())
 
 
 def test_generation_never_builds_a_numpy_generator(tmp_path, mesh480, monkeypatch):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -23,3 +24,27 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads, annotations included."""
+    tree = ast.parse(source)
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+def test_no_unused_imports():
+    # __init__.py imports names only to re-export them, so it is left out
+    package = Path(gridpatterns.__file__).resolve().parent
+    unused = {
+        path.name: names
+        for path in sorted(package.glob("*.py"))
+        if path.name != "__init__.py" and (names := _unused_imports(path.read_text()))
+    }
+    assert unused == {}

@@ -143,6 +143,7 @@ def test_p_one_plus_observed_hand_values():
     assert p_one_plus_observed([(2, 2, 1, 1)]) == 1.0
     assert p_one_plus_observed([(3, 1, 1, 1)]) == 0.0
     assert p_one_plus_observed([(2, 2, 1, 1), (3, 1, 1, 1)]) == 0.5
+    assert p_one_plus_observed([[2, 2, 1, 1], [3, 1, 1, 1]]) == 0.5
     # loops count like chains, all of whose steps extend
     assert p_one_plus_observed([(2, 2, 2)]) == 1.0
     assert p_one_plus_observed([(2, 2, 2, 2)]) == 1.0
@@ -157,6 +158,7 @@ def test_p_one_plus_observed_accepts_patterns():
     path = Pattern(frozenset({("A", "B"), ("B", "C"), ("C", "D")}))
     star = Pattern(frozenset({("A", "X"), ("B", "X"), ("C", "X")}))
     assert p_one_plus_observed([path, star]) == 0.5
+    assert p_one_plus_observed([path.lines, star.lines]) == 0.5
 
 
 def test_p_one_plus_in_unit_interval_for_tree_corpora():
