@@ -22,6 +22,7 @@ from pathlib import Path
 
 from . import evaluation, generator, ingest, network as network_mod, patterns, synthnet, zipf
 from .errors import CalibrationError, DegenerateDataError, GridPatternsError, InputFormatError
+from .lines import write_table
 from .rng import derive_seed
 
 
@@ -141,11 +142,9 @@ def cmd_fit(args) -> int:
             "pmf_head": [round(model.pmf(k), 8) for k in range(1, 8)],
         },
     )
-    with open(histogram_path, "w", newline="") as fh:
-        fh.write("size,count,frequency\n")
-        freqs = histogram.frequencies
-        for size in histogram.sizes:
-            fh.write(f"{size},{histogram.counts[size]},{freqs[size]:.12g}\n")
+    freqs = histogram.frequencies
+    rows = ((size, histogram.counts[size], f"{freqs[size]:.12g}") for size in histogram.sizes)
+    write_table(histogram_path, ("size", "count", "frequency"), rows)
     _write_manifest(
         out,
         "fit",

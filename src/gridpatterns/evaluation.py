@@ -18,6 +18,7 @@ import numpy as np
 from .distance import _GRAPH, TransportSolver
 from .errors import DegenerateDataError
 from .generator import GeneratorConfig, _ensemble_counts
+from .lines import write_table
 from .network import Network
 from .parallel import pool_size, process_pool, run_all
 from .patterns import DegreeSequence, SizeHistogram, _sequence_counts, line_count
@@ -178,16 +179,12 @@ def format_evaluation_report(report: EvaluationReport) -> str:
 
 def write_evaluation_csv(path, report: EvaluationReport) -> None:
     """One ``distance,p_value`` row per repetition."""
-    with open(path, "w", newline="") as fh:
-        fh.write("distance,p_value\n")
-        for dist, p in zip(report.distances, report.p_values):
-            fh.write(f"{dist:.12g},{p:.12g}\n")
+    rows = ((f"{dist:.12g}", f"{p:.12g}") for dist, p in zip(report.distances, report.p_values))
+    write_table(path, ("distance", "p_value"), rows)
 
 
 def write_size_distribution_csv(path, histogram: SizeHistogram, model: ZipfModel) -> None:
     """Log-log plot data: size, empirical probability, fitted probability."""
     freqs = histogram.frequencies
-    with open(path, "w", newline="") as fh:
-        fh.write("size,empirical_probability,fitted_probability\n")
-        for size in histogram.sizes:
-            fh.write(f"{size},{freqs[size]:.12g},{model.pmf(size):.12g}\n")
+    rows = ((size, f"{freqs[size]:.12g}", f"{model.pmf(size):.12g}") for size in histogram.sizes)
+    write_table(path, ("size", "empirical_probability", "fitted_probability"), rows)

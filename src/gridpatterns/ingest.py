@@ -9,16 +9,15 @@ to belong to the same fast cascade step.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Iterable, Mapping
 
-from .errors import InputFormatError
-from .lines import Line, canonical_line, check_serializable_bus
+from .lines import Line, canonical_line, check_serializable_bus, read_table, write_table
 
 TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M"
 OUTAGE_COLUMNS = ("timestamp", "from_bus", "to_bus", "circuit_id", "automatic")
+GENERATION_COLUMNS = ("minute", "from_bus", "to_bus", "circuits")
 # Values of the ``automatic`` column treated as automatic, case-insensitive.
 AUTOMATIC_VALUES = frozenset({"auto", "1", "true"})
 DEFAULT_CIRCUIT_ID = "1"
@@ -74,28 +73,30 @@ class ParseResult:
     dropped_self_loops: int = 0
 
 
+def _bus(name: str, aliases: Mapping[str, str] | None = None) -> str:
+    """A normalized, aliased bus name, rejected if the writers could not write it."""
+    return check_serializable_bus(normalize_bus(name, aliases))
+
+
 def load_alias_map(path) -> dict[str, str]:
     """Load a ``raw_name,canonical_name`` CSV into a normalized alias map.
 
-    An empty raw name, or a canonical name the writers would reject, raises
-    InputFormatError naming the offending line.
+    An empty raw name, a raw name given twice once normalized, or a
+    canonical name the writers would reject raises InputFormatError naming
+    the offending line.
     """
     aliases: dict[str, str] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        _read_header(reader, ("raw_name", "canonical_name"), path)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise InputFormatError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
-            raw, canon = (normalize_bus(cell) for cell in row)
-            try:
-                if not raw:
-                    raise ValueError("empty raw bus name")
-                aliases[raw] = check_serializable_bus(canon)
-            except ValueError as exc:
-                raise InputFormatError(f"{path}: line {lineno}: {exc}") from exc
+
+    def parse(raw_name: str, canonical_name: str) -> None:
+        raw = normalize_bus(raw_name)
+        if not raw:
+            raise ValueError("empty raw bus name")
+        canon = _bus(canonical_name)
+        if raw in aliases:
+            raise ValueError(f"duplicate raw name {raw!r}")
+        aliases[raw] = canon
+
+    read_table(path, ("raw_name", "canonical_name"), parse)
     return aliases
 
 
@@ -105,34 +106,7 @@ def load_exclusions(path, aliases: Mapping[str, str] | None = None) -> list[Line
     A bus name that is empty, or that the writers would reject once aliases
     are applied, raises InputFormatError naming the offending line.
     """
-    out: list[Line] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        _read_header(reader, ("from_bus", "to_bus"), path)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise InputFormatError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
-            a, b = (normalize_bus(cell, aliases) for cell in row)
-            try:
-                out.append(canonical_line(check_serializable_bus(a), check_serializable_bus(b)))
-            except ValueError as exc:
-                raise InputFormatError(f"{path}: line {lineno}: {exc}") from exc
-    return out
-
-
-def _read_header(reader, expected: tuple[str, ...], path) -> list[str]:
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise InputFormatError(f"{path}: empty file, expected header {','.join(expected)}")
-    names = tuple(cell.strip().lower() for cell in header)
-    if names != expected:
-        raise InputFormatError(
-            f"{path}: bad header {','.join(names)!r}, expected {','.join(expected)!r}"
-        )
-    return list(names)
+    return read_table(path, ("from_bus", "to_bus"), lambda a, b: canonical_line(_bus(a, aliases), _bus(b, aliases)))
 
 
 def parse_outage_file(path, aliases: Mapping[str, str] | None = None) -> ParseResult:
@@ -144,35 +118,20 @@ def parse_outage_file(path, aliases: Mapping[str, str] | None = None) -> ParseRe
     raise InputFormatError naming the offending line.
     """
     result = ParseResult(records=[])
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        _read_header(reader, OUTAGE_COLUMNS, path)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise InputFormatError(f"{path}: line {lineno}: expected 5 fields, got {len(row)}")
-            raw_ts, raw_from, raw_to, raw_circuit, raw_auto = row
-            try:
-                ts = datetime.strptime(raw_ts.strip(), TIMESTAMP_FORMAT)
-            except ValueError as exc:
-                raise InputFormatError(
-                    f"{path}: line {lineno}: bad timestamp {raw_ts.strip()!r}, "
-                    f"expected YYYY-MM-DD HH:MM"
-                ) from exc
-            if raw_auto.strip().lower() not in AUTOMATIC_VALUES:
-                result.dropped_non_automatic += 1
-                continue
-            try:
-                from_bus = check_serializable_bus(normalize_bus(raw_from, aliases))
-                to_bus = check_serializable_bus(normalize_bus(raw_to, aliases))
-            except ValueError as exc:
-                raise InputFormatError(f"{path}: line {lineno}: {exc}") from exc
-            if from_bus == to_bus:
-                result.dropped_self_loops += 1
-                continue
-            circuit = raw_circuit.strip() or DEFAULT_CIRCUIT_ID
-            result.records.append(OutageRecord(ts, from_bus, to_bus, circuit))
+
+    def parse(raw_ts: str, raw_from: str, raw_to: str, raw_circuit: str, raw_auto: str) -> None:
+        try:
+            ts = datetime.strptime(raw_ts.strip(), TIMESTAMP_FORMAT)
+        except ValueError:
+            raise ValueError(f"bad timestamp {raw_ts.strip()!r}, expected YYYY-MM-DD HH:MM") from None
+        if raw_auto.strip().lower() not in AUTOMATIC_VALUES:
+            result.dropped_non_automatic += 1
+        elif (from_bus := _bus(raw_from, aliases)) == (to_bus := _bus(raw_to, aliases)):
+            result.dropped_self_loops += 1
+        else:
+            result.records.append(OutageRecord(ts, from_bus, to_bus, raw_circuit.strip() or DEFAULT_CIRCUIT_ID))
+
+    read_table(path, OUTAGE_COLUMNS, parse)
     return result
 
 
@@ -201,61 +160,49 @@ def group_into_generations(records: Iterable[OutageRecord]) -> list[GenerationGr
 
 def write_outage_csv(path, records: Iterable[OutageRecord]) -> None:
     """Write records in the outage CSV format (all marked automatic)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(OUTAGE_COLUMNS)
-        for rec in records:
-            writer.writerow(
-                (
-                    rec.timestamp.strftime(TIMESTAMP_FORMAT),
-                    check_serializable_bus(rec.from_bus),
-                    check_serializable_bus(rec.to_bus),
-                    rec.circuit_id,
-                    "auto",
-                )
-            )
+    rows = (
+        (
+            rec.timestamp.strftime(TIMESTAMP_FORMAT),
+            check_serializable_bus(rec.from_bus),
+            check_serializable_bus(rec.to_bus),
+            rec.circuit_id,
+            "auto",
+        )
+        for rec in records
+    )
+    write_table(path, OUTAGE_COLUMNS, rows)
 
 
 def write_generations_csv(path, groups: Iterable[GenerationGroup]) -> None:
     """Write generations as ``minute,from_bus,to_bus,circuits`` rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("minute", "from_bus", "to_bus", "circuits"))
-        for group in groups:
-            for line in sorted(group.lines):
-                writer.writerow(
-                    (
-                        group.minute.strftime(TIMESTAMP_FORMAT),
-                        line[0],
-                        line[1],
-                        group.circuit_counts.get(line, 1),
-                    )
-                )
+    rows = (
+        (group.minute.strftime(TIMESTAMP_FORMAT), *line, group.circuit_counts.get(line, 1))
+        for group in groups
+        for line in sorted(group.lines)
+    )
+    write_table(path, GENERATION_COLUMNS, rows)
 
 
 def read_generations_csv(path) -> list[GenerationGroup]:
     """Read back a generations CSV written by :func:`write_generations_csv`.
 
-    Bus names the other writers would reject are rejected here, with the row.
+    Bus names the other writers would reject, and a second row for the same
+    minute and line, are rejected here, with the row.
     """
     by_minute: dict[datetime, dict[Line, int]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        _read_header(reader, ("minute", "from_bus", "to_bus", "circuits"), path)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise InputFormatError(f"{path}: line {lineno}: expected 4 fields, got {len(row)}")
-            try:
-                minute = datetime.strptime(row[0].strip(), TIMESTAMP_FORMAT)
-                line = canonical_line(check_serializable_bus(row[1]), check_serializable_bus(row[2]))
-                circuits = int(row[3])
-            except ValueError as exc:
-                raise InputFormatError(f"{path}: line {lineno}: {exc}") from exc
-            if circuits < 1:
-                raise InputFormatError(f"{path}: line {lineno}: circuits must be positive")
-            by_minute.setdefault(minute, {})[line] = circuits
+
+    def parse(raw_minute: str, from_bus: str, to_bus: str, raw_circuits: str) -> None:
+        minute = datetime.strptime(raw_minute.strip(), TIMESTAMP_FORMAT)
+        line = canonical_line(check_serializable_bus(from_bus), check_serializable_bus(to_bus))
+        circuits = int(raw_circuits)
+        if circuits < 1:
+            raise ValueError("circuits must be positive")
+        per_line = by_minute.setdefault(minute, {})
+        if line in per_line:
+            raise ValueError(f"duplicate line {line}")
+        per_line[line] = circuits
+
+    read_table(path, GENERATION_COLUMNS, parse)
     return [
         GenerationGroup(minute, frozenset(per_line), dict(sorted(per_line.items())))
         for minute, per_line in sorted(by_minute.items())

@@ -8,14 +8,21 @@ multiplicity kept on the network.
 :func:`components` is the package's one connected-components walk: a
 pattern is a component of one generation's lines, and a network is the
 largest component of the lines ever outaged.
+
+:func:`read_table` and :func:`write_table` are the package's one CSV
+format: every table file is read and written through them.
 """
 
 from __future__ import annotations
 
+import csv
 from collections import deque
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
+
+from .errors import InputFormatError
 
 Line = tuple[str, str]
+T = TypeVar("T")
 
 # Characters with structural meaning in the text formats.  Bus names that
 # contain them cannot be serialized unambiguously, so they are rejected at
@@ -97,3 +104,43 @@ def components(lines: Iterable[Line]) -> list[tuple[set[Line], set[Line]]]:
                     queue.append(other)
         out.append((comp, tree))
     return out
+
+
+def read_table(path, columns: tuple[str, ...], parse: Callable[..., T]) -> list[T]:
+    """``parse(*row)`` for every non-blank row of a CSV table, in file order.
+
+    The header must equal ``columns`` once trimmed and lower-cased.  An
+    empty file, another header, a row of another width or one the csv
+    module cannot split, or a ValueError from ``parse`` raises
+    InputFormatError; row errors name the row's line.
+    """
+    out: list[T] = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise InputFormatError(f"{path}: empty file, expected header {','.join(columns)}")
+            names = tuple(cell.strip().lower() for cell in header)
+            if names != columns:
+                raise InputFormatError(f"{path}: bad header {','.join(names)!r}, expected {','.join(columns)!r}")
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(columns):
+                    raise InputFormatError(f"{path}: line {lineno}: expected {len(columns)} fields, got {len(row)}")
+                try:
+                    out.append(parse(*row))
+                except ValueError as exc:
+                    raise InputFormatError(f"{path}: line {lineno}: {exc}") from exc
+        except csv.Error as exc:
+            raise InputFormatError(f"{path}: line {reader.line_num}: {exc}") from exc
+    return out
+
+
+def write_table(path, columns: tuple[str, ...], rows: Iterable[Iterable]) -> None:
+    """Write a CSV table: the ``columns`` header, then one line per row."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)

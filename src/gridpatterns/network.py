@@ -9,12 +9,13 @@ is one component, and the network of an outage history is its largest.
 
 from __future__ import annotations
 
-import csv
 from typing import Iterable, Mapping
 
 from .errors import DegenerateDataError, InputFormatError
 from .ingest import OutageRecord
-from .lines import Line, canonical_line, check_serializable_bus, components
+from .lines import Line, canonical_line, check_serializable_bus, components, read_table, write_table
+
+NETWORK_COLUMNS = ("from_bus", "to_bus", "multiplicity")
 
 
 class Network:
@@ -121,17 +122,10 @@ def build_network_from_outages(
 
 def write_network_csv(path, network: Network) -> None:
     """Write ``from_bus,to_bus,multiplicity`` rows sorted by line."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("from_bus", "to_bus", "multiplicity"))
-        for line in network.lines:
-            writer.writerow(
-                (
-                    check_serializable_bus(line[0]),
-                    check_serializable_bus(line[1]),
-                    network.multiplicity[line],
-                )
-            )
+    rows = (
+        (check_serializable_bus(a), check_serializable_bus(b), network.multiplicity[a, b]) for a, b in network.lines
+    )
+    write_table(path, NETWORK_COLUMNS, rows)
 
 
 def read_network_csv(path) -> Network:
@@ -139,36 +133,21 @@ def read_network_csv(path) -> Network:
 
     Bus names the writers would reject are rejected here, with the row.
     """
-    lines: list[Line] = []
     multiplicity: dict[Line, int] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(cell.strip().lower() for cell in header) != (
-            "from_bus",
-            "to_bus",
-            "multiplicity",
-        ):
-            raise InputFormatError(f"{path}: expected header from_bus,to_bus,multiplicity")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise InputFormatError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
-            try:
-                line = canonical_line(check_serializable_bus(row[0]), check_serializable_bus(row[1]))
-                count = int(row[2])
-            except ValueError as exc:
-                raise InputFormatError(f"{path}: line {lineno}: {exc}") from exc
-            if line in multiplicity:
-                raise InputFormatError(f"{path}: line {lineno}: duplicate line {line}")
-            if count < 1:
-                raise InputFormatError(f"{path}: line {lineno}: multiplicity must be >= 1")
-            lines.append(line)
-            multiplicity[line] = count
-    if not lines:
+
+    def parse(from_bus: str, to_bus: str, raw_count: str) -> None:
+        line = canonical_line(check_serializable_bus(from_bus), check_serializable_bus(to_bus))
+        count = int(raw_count)
+        if line in multiplicity:
+            raise ValueError(f"duplicate line {line}")
+        if count < 1:
+            raise ValueError("multiplicity must be >= 1")
+        multiplicity[line] = count
+
+    read_table(path, NETWORK_COLUMNS, parse)
+    if not multiplicity:
         raise DegenerateDataError(f"{path}: network file has no lines")
     try:
-        return Network(lines, multiplicity)
+        return Network(multiplicity.keys(), multiplicity)
     except ValueError as exc:
         raise InputFormatError(f"{path}: {exc}") from exc

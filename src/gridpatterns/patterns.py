@@ -8,7 +8,6 @@ the statistic all later comparisons are built on.
 
 from __future__ import annotations
 
-import csv
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime
@@ -16,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import DegenerateDataError, InputFormatError
 from .ingest import GenerationGroup
-from .lines import Line, components, format_line, parse_line
+from .lines import Line, components, format_line, parse_line, write_table
 from .network import Network, pattern_degrees
 
 DegreeSequence = tuple[int, ...]
@@ -230,11 +229,17 @@ def format_pattern(lines: Iterable[Line]) -> str:
 
 
 def parse_pattern(text: str) -> frozenset[Line]:
-    """Parse a ``A-B;B-C`` pattern token into a set of lines."""
+    """Parse a ``A-B;B-C`` pattern token into a set of lines.
+
+    A pattern that names the same line twice is rejected.
+    """
     tokens = text.split(";")
     if not tokens[0]:
         raise ValueError(f"malformed pattern: {text!r}")
-    return frozenset(parse_line(tok) for tok in tokens)
+    lines = frozenset(parse_line(tok) for tok in tokens)
+    if len(lines) < len(tokens):
+        raise ValueError(f"pattern names a line twice: {text!r}")
+    return lines
 
 
 def write_patterns_file(path, patterns: Iterable[Pattern]) -> None:
@@ -272,8 +277,4 @@ def format_degree_sequence(seq: Sequence[int]) -> str:
 def write_degree_sequence_counts(path, patterns: Iterable[Pattern]) -> None:
     """Write ``degree_sequence,count`` rows, most frequent first."""
     rows = sorted(_sequence_counts(patterns).items(), key=lambda item: (-item[1], item[0]))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("degree_sequence", "count"))
-        for seq, count in rows:
-            writer.writerow((format_degree_sequence(seq), count))
+    write_table(path, ("degree_sequence", "count"), ((format_degree_sequence(seq), count) for seq, count in rows))

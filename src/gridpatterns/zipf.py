@@ -29,13 +29,17 @@ def zeta(s: float) -> float:
     """Riemann zeta function for real s > 1.
 
     Computed as a direct partial sum plus an Euler-Maclaurin tail, accurate
-    to better than 1e-12 in relative terms over s in (1, 20].
+    to better than 1e-12 in relative terms over s in (1, 20], and 1.0 for
+    s > 64, where the terms past the first sum to under half an ulp of 1.
 
     Raises ValueError for s <= 1 where the series diverges.
     """
     s = float(s)
     if not s > 1.0:
         raise ValueError(f"zeta requires s > 1, got {s}")
+    if s > 64.0:
+        # also keeps the rising factorials below from overflowing near s = 1.4e154
+        return 1.0
     n = _ZETA_CUTOFF
     head = 0.0
     for k in range(1, n):
@@ -66,8 +70,8 @@ class ZipfModel:
     zeta_s: float = 0.0
 
     def __post_init__(self):
-        if not self.s > 1.0:
-            raise ValueError(f"Zipf exponent must exceed 1, got {self.s}")
+        if not (self.s > 1.0 and math.isfinite(self.s)):
+            raise ValueError(f"Zipf exponent must be finite and exceed 1, got {self.s}")
         object.__setattr__(self, "zeta_s", zeta(self.s))
 
     def pmf(self, k):

@@ -308,6 +308,38 @@ def test_ingest_no_automatic_rows_exit_3(tmp_path):
     assert _run("ingest", "--outages", manual, "--out", tmp_path) == 3
 
 
+def test_ingest_repeated_alias_exit_2(tmp_path, capsys):
+    outages = tmp_path / "outages.csv"
+    outages.write_text("timestamp,from_bus,to_bus,circuit_id,automatic\n2020-01-01 00:00,X,B,1,auto\n")
+    aliases = tmp_path / "aliases.csv"
+    aliases.write_text("raw_name,canonical_name\nX,A\nx ,B\n")
+    assert _run("ingest", "--outages", outages, "--aliases", aliases, "--out", tmp_path / "out") == 2
+    assert f"{aliases}: line 3: " in capsys.readouterr().err
+    assert not (tmp_path / "out" / "network.csv").exists()
+
+
+def test_fit_repeated_pattern_line_exit_2(tmp_path, capsys):
+    patterns_path = tmp_path / "patterns.txt"
+    patterns_path.write_text("A-B\nA-B;B-A\n")
+    assert _run("fit", "--patterns", patterns_path, "--out", tmp_path / "out") == 2
+    assert f"{patterns_path}: line 2: " in capsys.readouterr().err
+    assert not (tmp_path / "out" / "fit.json").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "evaluate", "calibrate"])
+def test_non_finite_exponent_exit_2(pipeline, tmp_path, command):
+    # s = inf would grow only one-line patterns and write nan into size_distribution.csv
+    flags = {
+        "generate": ("--p-one-plus", 0.3, "--count", 10),
+        "evaluate": ("--patterns", pipeline["extract"] / "patterns.txt", "--p-one-plus", 0.3, "--repetitions", 1),
+        "calibrate": ("--target", 0.5, "--ensemble-size", 100),
+    }[command]
+    out = tmp_path / "out"
+    rc = _run(command, "--network", pipeline["ingest"] / "network.csv", "--s", "inf", *flags, "--out", out)
+    assert rc == 2
+    assert not (out / "manifest.json").exists()
+
+
 def test_synth_history_requires_model_flags(tmp_path):
     rc = _run(
         "synth", "--kind", "grid-mesh", "--lines", 20, "--history-count", 10,

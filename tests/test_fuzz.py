@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from gridpatterns.errors import DegenerateDataError, InputFormatError
 from gridpatterns.ingest import (
+    GENERATION_COLUMNS,
     OUTAGE_COLUMNS,
     load_alias_map,
     load_exclusions,
@@ -18,7 +19,7 @@ from gridpatterns.ingest import (
     read_generations_csv,
     write_generations_csv,
 )
-from gridpatterns.lines import check_serializable_bus, format_line
+from gridpatterns.lines import check_serializable_bus, format_line, read_table
 from gridpatterns.network import read_network_csv, write_network_csv
 from gridpatterns.patterns import read_patterns_file, write_patterns_file
 
@@ -103,12 +104,15 @@ def test_outage_reader_fuzz(rows, tail, alias):
 
 @FUZZ
 @given(rows=st.lists(st.tuples(MINUTES, BUS, BUS, st.text("120x", max_size=2)), max_size=3), tail=TEXTS)
+@example(rows=[("2020-01-01 00:00", "A", "B", "2"), ("2020-01-01 00:00", "B", "A", "1")], tail="")
 def test_generations_reader_fuzz(rows, tail):
     with tempfile.TemporaryDirectory() as directory:
-        path = _write(directory, "generations.csv", _csv("minute,from_bus,to_bus,circuits\n", rows) + tail)
+        path = _write(directory, "generations.csv", _csv(",".join(GENERATION_COLUMNS) + "\n", rows) + tail)
         groups = _reads(read_generations_csv, path)
         if groups is None:
             return
+        # no row is lost: a repeated minute and line must not overwrite another row
+        assert sum(len(group.lines) for group in groups) == len(read_table(path, GENERATION_COLUMNS, lambda *row: row))
         again = Path(directory) / "again.csv"
         write_generations_csv(again, groups)
         assert read_generations_csv(again) == groups

@@ -48,3 +48,16 @@ def test_no_unused_imports():
         if path.name != "__init__.py" and (names := _unused_imports(path.read_text()))
     }
     assert unused == {}
+
+
+def test_only_lines_reads_and_writes_csv():
+    # every table goes through lines.read_table and lines.write_table
+    package = Path(gridpatterns.__file__).resolve().parent
+    importers = sorted(
+        path.name
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Import) and any(alias.name == "csv" for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "csv")
+    )
+    assert importers == ["lines.py"]

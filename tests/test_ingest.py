@@ -197,6 +197,39 @@ def test_generations_csv_rejects_unwritable_bus_names(tmp_path, bus):
         read_generations_csv(path)
 
 
+def test_generations_csv_rejects_repeated_rows(tmp_path):
+    # a second row for a minute and line must not overwrite the first one
+    path = tmp_path / "generations.csv"
+    path.write_text("minute,from_bus,to_bus,circuits\n2020-01-01 00:00,A,B,2\n2020-01-01 00:00,B,A,1\n")
+    with pytest.raises(InputFormatError, match=r"generations\.csv: line 3: duplicate line"):
+        read_generations_csv(path)
+    # the same line in another minute is another generation
+    path.write_text("minute,from_bus,to_bus,circuits\n2020-01-01 00:00,A,B,2\n2020-01-01 00:01,B,A,1\n")
+    assert [group.circuit_counts for group in read_generations_csv(path)] == [{("A", "B"): 2}, {("A", "B"): 1}]
+
+
+def test_alias_map_rejects_repeated_raw_names(tmp_path):
+    # raw names are compared once normalized, so "X" and "x " are one name
+    path = tmp_path / "aliases.csv"
+    path.write_text("raw_name,canonical_name\nX,A\nx ,B\n")
+    with pytest.raises(InputFormatError, match=r"aliases\.csv: line 3: duplicate raw name 'X'"):
+        load_alias_map(path)
+
+
+def test_outage_row_checks_run_in_order(tmp_path):
+    # a non-automatic row is dropped before its bus names are looked at,
+    # and a self-loop is found only after both names pass
+    body = '2020-01-01 00:00,"A;X",,1,manual\n2020-01-01 00:00, a ,A,1,auto\n2020-01-01 00:00,A,B,1,auto\n'
+    result = parse_outage_file(write_csv(tmp_path, body))
+    assert (result.dropped_non_automatic, result.dropped_self_loops, len(result.records)) == (1, 1, 1)
+    path = write_csv(tmp_path, "bad-time,A;X,B,1,manual\n")
+    with pytest.raises(InputFormatError, match="line 2: bad timestamp"):
+        parse_outage_file(path)
+    path = write_csv(tmp_path, "2020-01-01 00:00,A;X,A;X,1,auto\n")
+    with pytest.raises(InputFormatError, match="line 2: bus name 'A;X'"):
+        parse_outage_file(path)
+
+
 @pytest.mark.parametrize("canonical", ["", "A-X", "A;B", "A|X", '"A,X"'])
 def test_alias_map_rejects_unwritable_canonical_names(tmp_path, canonical):
     # the fault must be reported against the alias file, not later against

@@ -1,12 +1,14 @@
-"""The connected-components walk, against networkx."""
+"""The connected-components walk, against networkx, and the CSV table format."""
 
 from __future__ import annotations
 
 import random
 
 import networkx as nx
+import pytest
 
-from gridpatterns.lines import canonical_line, components
+from gridpatterns.errors import InputFormatError
+from gridpatterns.lines import canonical_line, components, read_table, write_table
 
 
 def _buses(lines) -> set[str]:
@@ -42,3 +44,30 @@ def test_components_match_networkx():
             assert len(tree) == len(buses_here) - 1
             assert _buses(tree) == buses_here
             assert nx.is_connected(nx.Graph(list(tree)))
+
+
+def test_table_round_trip_and_shared_rules(tmp_path):
+    path = tmp_path / "table.csv"
+    write_table(path, ("name", "count"), [("A B", 1), ("C,D", 2)])
+    assert path.read_bytes() == b'name,count\nA B,1\n"C,D",2\n'
+    assert read_table(path, ("name", "count"), lambda name, count: (name, int(count))) == [("A B", 1), ("C,D", 2)]
+    # the header is trimmed and case-insensitive, and blank rows are skipped
+    path.write_text(" Name ,COUNT\n\nA,1\n\n")
+    assert read_table(path, ("name", "count"), lambda *row: row) == [("A", "1")]
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("", r"table\.csv: empty file, expected header name,count"),
+        ("name,total\nA,1\n", r"table\.csv: bad header 'name,total', expected 'name,count'"),
+        ("name,count\nA,1\n\nB\n", r"table\.csv: line 4: expected 2 fields, got 1"),
+        ("name,count\nA,1\nB,x\n", r"table\.csv: line 3: invalid literal"),
+        ("name,count\nA,1\n" + "B" * 200_000 + ",1\n", r"table\.csv: line 3: field larger than field limit"),
+    ],
+)
+def test_table_errors_name_file_and_line(tmp_path, text, match):
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    with pytest.raises(InputFormatError, match=match):
+        read_table(path, ("name", "count"), lambda name, count: int(count))

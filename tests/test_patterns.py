@@ -233,6 +233,15 @@ def test_patterns_file_round_trip(tmp_path):
         read_patterns_file(bad)
 
 
+@pytest.mark.parametrize("text", ["A-B;B-A", "A-B;B-C;A-B"])
+def test_patterns_file_rejects_repeated_lines(tmp_path, text):
+    # a repeated line would collapse, so "A-B;B-A" would read as a one-line pattern
+    path = tmp_path / "patterns.txt"
+    path.write_text(f"C-D\n{text}\n")
+    with pytest.raises(InputFormatError, match=r"patterns\.txt: line 2: pattern names a line twice"):
+        read_patterns_file(path)
+
+
 @pytest.mark.parametrize("bus", ["A,X", "A|X"])
 def test_patterns_file_rejects_unwritable_bus_names(tmp_path, bus):
     # '-' and ';' split the tokens; the other reserved characters must not

@@ -123,11 +123,22 @@ def test_pmf_input_validation():
     assert isinstance(model.pmf(2), float)
 
 
+def test_zeta_is_finite_for_every_finite_exponent():
+    # (s + 1)(s + 2) of the Euler-Maclaurin term overflows from s ~ 1.4e154
+    for s in (64.0, 64.5, 1e3, 1e154, 1.5e154, 1e200, 1.7e308):
+        assert zeta(s) == 1.0
+    assert zeta(54.0) == 1.0
+    assert 1.0 < zeta(50.0) < 1.0 + 1e-15
+
+
 def test_model_rejects_bad_exponent():
     with pytest.raises(ValueError):
         ZipfModel(1.0)
     with pytest.raises(ValueError):
         ZipfModel(0.3)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            ZipfModel(bad)
 
 
 def test_p_large_frozen_values():
