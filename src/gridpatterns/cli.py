@@ -6,10 +6,10 @@ output file.  Nothing in the outputs depends on wall-clock time or on the
 ``--threads`` value, so reruns with the same manifest are byte-identical.
 
 Exit codes: 0 on success; 2 for input and format problems and for invalid
-arguments (such as ``--threads`` below 1, or a calibration ensemble size or
-iteration count below 1 or a negative or NaN tolerance); 3 for empty or
-degenerate data; 4 for calibration failure; 5 for any other error this
-package raises.
+arguments (such as ``--threads`` below 1, a negative ``--seed``, or a
+calibration ensemble size or iteration count below 1 or a negative or NaN
+tolerance); 3 for empty or degenerate data; 4 for calibration failure; 5
+for any other error this package raises.
 """
 
 from __future__ import annotations
@@ -407,6 +407,8 @@ def main(argv=None) -> int:
     try:
         if args.threads < 1:
             raise ValueError(f"--threads must be at least 1, got {args.threads}")
+        if args.seed < 0:
+            raise ValueError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except (OSError, InputFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -459,7 +459,36 @@ class TransportSolver:
                     flow[i][back] -= delta
         value = sum(cost[i][j] * flow[i][j] for i in rows for j in cols if flow[i][j])
         plan = np.array(flow, dtype=np.int64 if exact else float)
+        self._rows, self._pot_r = rows, pot_r
         return (value if exact else float(value)), plan
+
+    def _potential(self) -> np.ndarray:
+        """An optimal dual potential of the last solve, over the columns.
+
+        The c-transform ``f_k = min over rows i with supply of pot_r[i] +
+        c[i, k]`` is 1-Lipschitz under a metric cost, so ``|f . (p' - q')|``
+        bounds the cost of moving any ``p'`` onto ``q'`` from below, with
+        equality ``f . (q - p)`` on the last solve's masses (Kantorovich
+        duality; Peyre & Cuturi, arXiv:1803.00567, section 3).  Shifted to
+        ``f[0] = 0``, so ``|f|`` stays within the largest cost; integer on an
+        integral cost, and zeros when no row had supply.
+        """
+        cost, rows, pot_r = self._cost_rows, self._rows, self._pot_r
+        if not rows:
+            return np.zeros(self.cost.shape[1], dtype=np.int64)
+        f = np.array([min(pot_r[i] + cost[i][k] for i in rows) for k in range(self.cost.shape[1])])
+        return f - f[0]
+
+
+def _north_west_cost(cost: np.ndarray, p: np.ndarray, q: np.ndarray) -> int:
+    """Cost of the north-west-corner plan moving integer ``p`` onto ``q`` of
+    equal total, an upper bound on the optimum: the unit of mass at cumulative
+    position ``t`` goes from the first row whose cumulative supply reaches
+    ``t`` to the first column whose cumulative demand does."""
+    ends_p, ends_q = np.cumsum(p), np.cumsum(q)
+    ends = np.sort(np.concatenate((ends_p, ends_q)))  # a repeated end moves no mass
+    cells = cost[np.searchsorted(ends_p, ends), np.searchsorted(ends_q, ends)]
+    return int(np.diff(ends, prepend=0) @ cells)
 
 
 @dataclass(frozen=True)

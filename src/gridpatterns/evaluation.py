@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .distance import _GRAPH, TransportSolver
+from .distance import _GRAPH, TransportSolver, _north_west_cost
 from .errors import DegenerateDataError
 from .generator import GeneratorConfig, _ensemble_counts
 from .lines import write_table
@@ -45,11 +45,13 @@ def permutation_test(
 
     The p-value is (1 + number of permuted splits at least as distant) over
     (permutations + 1), so ties count as extreme and the smallest reachable
-    p-value is 1/(permutations + 1).  Every statistic is solved exactly on
-    integer counts, so ties compare exactly.  The two inputs are ordered
-    canonically first, which makes the result invariant under swapping them.
-    Accepts Patterns, generated patterns, line sets, or degree-sequence
-    tuples.
+    p-value is 1/(permutations + 1).  Each permutation is decided exactly,
+    on integer counts, so ties compare exactly: by a lower bound (the dual
+    potentials of the splits solved so far, or the transport between line
+    counts), by the north-west-corner plan's upper bound, or else by an
+    exact solve.  The two inputs are ordered canonically first, which makes
+    the result invariant under swapping them.  Accepts Patterns, generated
+    patterns, line sets, or degree-sequence tuples.
     """
     rng = substream(0) if rng is None else rng
     return _permutation_test(_sequence_counts(set_a), _sequence_counts(set_b), permutations, rng)
@@ -75,24 +77,50 @@ def _permutation_test(
     index = {seq: i for i, seq in enumerate(support)}
     pool_idx = np.repeat([index[s] for s, _ in first + second], [c for _, c in first + second])
     solver = TransportSolver(_GRAPH.distance_matrix(support, support))
+    cost = solver.cost.astype(np.int64)
+    gaps = np.diff([line_count(s) for s in support])
     n_support = len(support)
+    potentials = np.zeros((0, n_support), dtype=np.int64)
+    pooled = np.bincount(pool_idx, minlength=n_support) * n_first
 
-    def statistic(idx: np.ndarray) -> int:
-        # n_first * n_second times the distance between the two halves
-        excess = (
-            np.bincount(idx[:n_first], minlength=n_support) * n_second
-            - np.bincount(idx[n_first:], minlength=n_support) * n_first
-        )
-        # the edit distance is a metric, so mass both halves share stays put
+    def excess_of(idx: np.ndarray) -> np.ndarray:
+        # n_first * n_second times the difference of the halves' distributions,
+        # n_second * c1 - n_first * c2 with c2 the pooled counts less c1; the
+        # edit distance is a metric, so mass both halves share stays put
+        return np.bincount(idx[:n_first], minlength=n_support) * (n_first + n_second) - pooled
+
+    def solve(excess: np.ndarray) -> int:
+        nonlocal potentials
         value, _ = solver.solve(np.maximum(excess, 0), np.maximum(-excess, 0))
+        potentials = np.vstack([potentials, solver._potential()])
         return value
 
-    observed = statistic(pool_idx)
+    observed = solve(excess_of(pool_idx))
     at_least = 0
     for _ in range(permutations):
-        at_least += statistic(rng.permutation(pool_idx)) >= observed
+        excess = excess_of(rng.permutation(pool_idx))
+        verdict = _bound_verdict(cost, potentials, gaps, excess, observed)
+        at_least += solve(excess) >= observed if verdict is None else verdict
     p_value = (1 + at_least) / (permutations + 1)
     return PermutationTestResult(observed / (n_first * n_second), p_value, permutations)
+
+
+def _bound_verdict(
+    cost: np.ndarray, potentials: np.ndarray, gaps: np.ndarray, excess: np.ndarray, observed: int
+) -> bool | None:
+    """Whether moving the excess costs at least ``observed``, when a bound decides it.
+
+    Lower bounds: each row of ``potentials`` is 1-Lipschitz under ``cost``;
+    and each edit changes the line count by one, so moving the excess costs
+    at least moving it between line counts, ``gaps`` apart along the support.
+    Upper bound: the north-west-corner plan.  None when only a solve decides.
+    """
+    lower = max(np.abs(potentials @ excess).max(), np.abs(np.cumsum(excess)[:-1]) @ gaps)
+    if lower >= observed:
+        return True
+    if _north_west_cost(cost, np.maximum(excess, 0), np.maximum(-excess, 0)) < observed:
+        return False
+    return None
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ class Pattern:
         for line in self.lines:
             if not (isinstance(line, tuple) and len(line) == 2 and line[0] < line[1]):
                 raise ValueError(f"line {line!r} is not in canonical form")
-        if len(components(self.lines)) > 1:
+        if len(self.lines) > 1 and len(components(self.lines)) > 1:
             raise ValueError("pattern lines do not form a connected subgraph")
 
     def __len__(self) -> int:

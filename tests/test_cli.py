@@ -274,6 +274,23 @@ def test_threads_below_one_exit_2(tmp_path, threads):
     assert not (tmp_path / "network.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["synth", "generate", "evaluate"])
+def test_negative_seed_exit_2_before_any_output(pipeline, tmp_path, capsys, command):
+    network = pipeline["ingest"] / "network.csv"
+    flags = {
+        "synth": ("--kind", "grid-mesh", "--lines", 40, "--history-count", 10, "--s", 3.0, "--p-one-plus", 0.3),
+        "generate": ("--network", network, "--s", 3.0, "--p-one-plus", 0.3, "--count", 10),
+        "evaluate": (
+            "--network", network, "--patterns", pipeline["extract"] / "patterns.txt",
+            "--s", 3.0, "--p-one-plus", 0.3, "--repetitions", 1, "--permutations", 9,
+        ),
+    }[command]
+    out = tmp_path / "out"
+    assert _run(command, *flags, "--seed", -1, "--out", out) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ingest_missing_file_exit_2(tmp_path):
     assert _run("ingest", "--outages", tmp_path / "absent.csv", "--out", tmp_path) == 2
 

@@ -5,6 +5,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seq_oracle import (
     brute_force_transport,
@@ -22,6 +24,7 @@ from gridpatterns.distance import (
     TransportSolver,
     empirical_distribution,
     _additions_canonical,
+    _north_west_cost,
     _removals_canonical,
     is_connected_graphical,
     sequence_distance,
@@ -375,3 +378,41 @@ def test_transport_on_excess_equals_full_transport():
         moved, _ = solver.solve(np.maximum(excess, 0), np.maximum(-excess, 0))
         assert type(moved) is int
         assert moved == full
+
+
+NODES = [seq for lines in range(1, 6) for seq in valid_sequences(5)[lines]]
+
+
+@st.composite
+def transport_instances(draw):
+    """A support of valid sequences and two pairs of equal-total integer
+    masses over it, scaled as the permutation test scales its halves."""
+    support = draw(st.lists(st.sampled_from(NODES), min_size=1, max_size=8, unique=True))
+    counts = st.lists(st.integers(0, 12), min_size=len(support), max_size=len(support)).filter(any)
+    masses = []
+    for _ in range(2):
+        a, b = np.array(draw(counts)), np.array(draw(counts))
+        masses.append((a * b.sum(), b * a.sum()))
+    return support, masses
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(transport_instances())
+def test_transport_potential_and_plan_bound_the_optimum(instance):
+    support, [(p, q), (fresh_p, fresh_q)] = instance
+    cost = SequenceGraph().distance_matrix(support, support).astype(np.int64)
+    solver = TransportSolver(cost)
+    value, _ = solver.solve(p, q)
+    f = solver._potential()
+    assert f.dtype == np.int64 and f[0] == 0
+    # 1-Lipschitz under the cost, and optimal on its own solve
+    assert np.all(np.abs(f[:, None] - f[None, :]) <= cost)
+    assert f @ (q - p) == value
+    fresh, _ = TransportSolver(cost).solve(fresh_p, fresh_q)
+    assert abs(f @ (fresh_p - fresh_q)) <= fresh <= _north_west_cost(cost, fresh_p, fresh_q)
+
+
+def test_transport_potential_is_zero_without_supply():
+    solver = TransportSolver(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert solver.solve(np.array([0, 0]), np.array([0, 0]))[0] == 0
+    assert np.array_equal(solver._potential(), [0, 0])

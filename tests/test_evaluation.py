@@ -5,7 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gridpatterns import generator
+from seq_oracle import valid_sequences
+
+from gridpatterns import evaluation, generator
+from gridpatterns.distance import TransportSolver
 from gridpatterns.errors import DegenerateDataError
 from gridpatterns.evaluation import (
     EvaluationReport,
@@ -107,17 +110,16 @@ def test_observed_distance_counts_line_changes():
     assert result.observed_statistic * 4 == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize(
-    "lines, network_seed, s, seed, n_a, n_b, expected",
-    [
-        # (observed_statistic, p_value) as the float linear-program transport
-        # solver gave them before the exact integer one replaced it
-        (480, 11, 4.1, 41, 500, 500, (0.03600000000000002, 0.33)),
-        (300, 5, 3.0, 31, 300, 200, (0.07166666666666671, 0.67)),
-        (300, 5, 3.0, 31, 300, 0, (0.0, 1.0)),  # n_b = 0: one set against itself
-    ],
-)
-def test_permutation_test_matches_float_solver_results(lines, network_seed, s, seed, n_a, n_b, expected):
+# (observed_statistic, p_value) as the float linear-program transport solver
+# gave them before the exact integer one replaced it
+PINNED = [
+    (480, 11, 4.1, 41, 500, 500, (0.03600000000000002, 0.33)),
+    (300, 5, 3.0, 31, 300, 200, (0.07166666666666671, 0.67)),
+    (300, 5, 3.0, 31, 300, 0, (0.0, 1.0)),  # n_b = 0: one set against itself
+]
+
+
+def _pinned_sets(lines, network_seed, s, seed, n_a, n_b):
     network = synthetic_network("grid-mesh", lines, multi_circuit_fraction=0.1, seed=network_seed)
 
     def sample(stream, n):
@@ -125,10 +127,77 @@ def test_permutation_test_matches_float_solver_results(lines, network_seed, s, s
         return [g.pattern for g in generate_ensemble(network, config, n)]
 
     a = sample(seed, n_a)
-    b = sample(seed + 1, n_b) if n_b else list(a)
+    return a, sample(seed + 1, n_b) if n_b else list(a)
+
+
+@pytest.mark.parametrize("lines, network_seed, s, seed, n_a, n_b, expected", PINNED)
+def test_permutation_test_matches_float_solver_results(lines, network_seed, s, seed, n_a, n_b, expected):
+    a, b = _pinned_sets(lines, network_seed, s, seed, n_a, n_b)
     result = permutation_test(a, b, permutations=199, rng=substream(seed + 2))
     assert result.observed_statistic == pytest.approx(expected[0], rel=1e-12, abs=0.0)
     assert result.p_value == expected[1]
+
+
+def _check_verdicts_against_solves(monkeypatch, set_a, set_b, permutations, rng):
+    """Run a permutation test and check every permutation's verdict, by bound
+    or by solve, against a full solve of that permutation."""
+    calls = []
+
+    def spy(cost, potentials, gaps, excess, observed):
+        verdict = bound_verdict(cost, potentials, gaps, excess, observed)
+        calls.append((cost, excess, observed, verdict))
+        return verdict
+
+    bound_verdict = evaluation._bound_verdict
+    monkeypatch.setattr(evaluation, "_bound_verdict", spy)
+    result = permutation_test(set_a, set_b, permutations=permutations, rng=rng)
+    assert len(calls) == permutations
+    at_least = 0
+    for cost, excess, observed, verdict in calls:
+        value, _ = TransportSolver(cost).solve(np.maximum(excess, 0), np.maximum(-excess, 0))
+        assert verdict in (None, value >= observed)
+        at_least += value >= observed
+    assert result.p_value == (1 + at_least) / (permutations + 1)
+    return calls
+
+
+@pytest.mark.parametrize("lines, network_seed, s, seed, n_a, n_b, expected", PINNED)
+def test_bound_verdicts_match_full_solves_on_pinned_sets(monkeypatch, lines, network_seed, s, seed, n_a, n_b, expected):
+    a, b = _pinned_sets(lines, network_seed, s, seed, n_a, n_b)
+    _check_verdicts_against_solves(monkeypatch, a, b, 199, substream(seed + 2))
+
+
+def test_bound_verdicts_match_full_solves_on_random_counts(monkeypatch):
+    rng = np.random.default_rng(37)
+    nodes = [seq for lines in range(1, 6) for seq in valid_sequences(5)[lines]]
+    decided = 0
+    for trial in range(12):
+        size = int(rng.integers(1, 8))
+        support = [nodes[i] for i in rng.choice(len(nodes), size=size, replace=False)]
+
+        def sample():
+            counts = rng.multinomial(int(rng.integers(1, 60)), rng.dirichlet(np.ones(size)))
+            return [seq for seq, c in zip(support, counts) for _ in range(c)]
+
+        calls = _check_verdicts_against_solves(monkeypatch, sample(), sample(), 49, substream(trial))
+        decided += sum(verdict is not None for *_, verdict in calls)
+    assert decided > 0
+
+
+def test_bounds_leave_fewer_solves_than_permutations_on_mesh480(monkeypatch):
+    solves = 0
+    solve = TransportSolver.solve
+
+    def counting_solve(self, p, q):
+        nonlocal solves
+        solves += 1
+        return solve(self, p, q)
+
+    monkeypatch.setattr(TransportSolver, "solve", counting_solve)
+    lines, network_seed, s, seed, n_a, n_b, expected = PINNED[0]
+    result = permutation_test(*_pinned_sets(lines, network_seed, s, seed, n_a, n_b), 199, substream(seed + 2))
+    assert result.p_value == expected[1]
+    assert solves < 199
 
 
 def test_evaluate_model_shape_and_determinism(mesh480):
