@@ -14,8 +14,8 @@ from gridpatterns import (
     calibrate_p_one_plus,
     degree_sequence,
     generate_ensemble,
-    measure_p_one_plus_generated,
     n_one_plus,
+    p_one_plus_observed,
     size_histogram,
 )
 from gridpatterns.synthnet import synthetic_network
@@ -48,7 +48,7 @@ def main() -> None:
         print(f"  {gp.achieved_size} lines, degree sequence {seq}, "
               f"n_one_plus {n_one_plus(seq)}, extra circuits {len(gp.extra_circuits)}")
 
-    measured = measure_p_one_plus_generated(ensemble)
+    measured = p_one_plus_observed(ensemble)
     print(f"\nknob p_one_plus = {config.p_one_plus}, measured on output = {measured:.4f}")
 
     # Calibrate the knob so the measured value hits a target.

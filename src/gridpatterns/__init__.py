@@ -49,7 +49,6 @@ from .generator import (
     GeneratorConfig,
     calibrate_p_one_plus,
     generate_ensemble,
-    measure_p_one_plus_generated,
 )
 from .ingest import (
     GenerationGroup,
@@ -111,7 +110,6 @@ __all__ = [
     "line_count",
     "load_alias_map",
     "log_likelihood",
-    "measure_p_one_plus_generated",
     "n_one_plus",
     "normalize_bus",
     "p_one_plus_observed",

@@ -1,15 +1,24 @@
 """Command line interface for the outage-pattern pipeline.
 
-Each subcommand wraps a library operation and writes its outputs plus a
-``manifest.json`` listing inputs, parameters, and a sha256 checksum per
-output file.  Nothing in the outputs depends on wall-clock time or on the
-``--threads`` value, so reruns with the same manifest are byte-identical.
+Each subcommand wraps a library operation, writes its outputs to ``--out``
+and returns their paths; ``main`` then writes a ``manifest.json`` with the
+command, its inputs, its parameters, and a sha256 checksum per output file.
+The manifest is derived from the parsed options alone: ``inputs`` holds the
+input file options that are set (``--outages``, ``--aliases``,
+``--exclusions``, ``--generations``, ``--network``, ``--patterns``), and
+``parameters`` every other option but ``--threads`` and ``--out``.  The one
+exception is ``synth``, which records ``--history-count``, ``--s``,
+``--p-one-plus`` and ``--p-circuits`` only when ``--history-count`` is
+given.  A later option that is not a parameter, such as a ``--stats PATH``
+for run statistics, joins ``--threads`` and ``--out`` in ``NOT_PARAMETERS``.
+Nothing in the outputs depends on wall-clock time or on the ``--threads``
+value, so reruns with the same manifest are byte-identical.
 
 Exit codes: 0 on success; 2 for input and format problems and for invalid
-arguments (such as ``--threads`` below 1, a negative ``--seed``, or a
-calibration ensemble size or iteration count below 1 or a negative or NaN
-tolerance); 3 for empty or degenerate data; 4 for calibration failure; 5
-for any other error this package raises.
+arguments (such as ``--threads`` below 1, a negative ``--seed`` or
+``--history-count``, or a calibration ensemble size or iteration count
+below 1 or a negative or NaN tolerance); 3 for empty or degenerate data; 4
+for calibration failure; 5 for any other error this package raises.
 """
 
 from __future__ import annotations
@@ -25,6 +34,19 @@ from .errors import CalibrationError, DegenerateDataError, GridPatternsError, In
 from .lines import write_table
 from .rng import derive_seed
 
+# The first row whose types match an error gives the exit code, so each
+# subclass is listed before its base.
+EXIT_CODES = (
+    ((OSError, InputFormatError, ValueError), 2),
+    (CalibrationError, 4),
+    (DegenerateDataError, 3),
+    (GridPatternsError, 5),
+)
+FILE_OPTIONS = ("outages", "aliases", "exclusions", "generations", "network", "patterns")
+NOT_PARAMETERS = ("command", "func", "threads", "out", *FILE_OPTIONS)
+# synth records these only when it writes a history
+HISTORY_OPTIONS = ("history_count", "s", "p_one_plus", "p_circuits")
+
 
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
@@ -34,30 +56,47 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out_dir: Path, command: str, inputs: dict, parameters: dict, outputs: list[Path]) -> None:
-    manifest = {
-        "command": command,
-        "inputs": {key: str(value) for key, value in inputs.items()},
+def _manifest(args, outputs: list[Path]) -> dict:
+    options = vars(args)
+    parameters = {key: value for key, value in options.items() if key not in NOT_PARAMETERS}
+    if args.command == "synth" and not args.history_count:
+        for key in HISTORY_OPTIONS:
+            del parameters[key]
+    return {
+        "command": args.command,
+        "inputs": {key: str(options[key]) for key in FILE_OPTIONS if options.get(key)},
         "parameters": parameters,
         "outputs": {path.name: _sha256(path) for path in outputs},
     }
-    _write_json(out_dir / "manifest.json", manifest)
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _write_text(path: Path, text: str) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def cmd_ingest(args) -> int:
-    out = _out_dir(args)
+def _config(args, p_one_plus: float, seed: int) -> generator.GeneratorConfig:
+    return generator.GeneratorConfig(zipf.ZipfModel(args.s), p_one_plus, p_circuits=args.p_circuits, seed=seed)
+
+
+def _check(args) -> None:
+    """Reject arguments that would fail a command part way, before ``--out`` is created."""
+    if args.threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {args.threads}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
+    if args.command == "synth" and args.history_count:
+        if args.history_count < 0:
+            raise ValueError(f"--history-count must be non-negative, got {args.history_count}")
+        if args.s is None or args.p_one_plus is None:
+            raise InputFormatError("--history-count requires --s and --p-one-plus")
+
+
+def cmd_ingest(args, out: Path) -> list[Path]:
     aliases = ingest.load_alias_map(args.aliases) if args.aliases else None
     exclusions = ingest.load_exclusions(args.exclusions, aliases) if args.exclusions else ()
     parsed = ingest.parse_outage_file(args.outages, aliases)
@@ -70,28 +109,16 @@ def cmd_ingest(args) -> int:
     generations_path = out / "generations.csv"
     network_mod.write_network_csv(network_path, net)
     ingest.write_generations_csv(generations_path, groups)
-    _write_manifest(
-        out,
-        "ingest",
-        inputs={
-            "outages": args.outages,
-            **({"aliases": args.aliases} if args.aliases else {}),
-            **({"exclusions": args.exclusions} if args.exclusions else {}),
-        },
-        parameters={"seed": args.seed},
-        outputs=[network_path, generations_path],
-    )
     print(f"records: {len(parsed.records)}")
     print(f"dropped_non_automatic: {parsed.dropped_non_automatic}")
     print(f"dropped_self_loops: {parsed.dropped_self_loops}")
     print(f"generations: {len(groups)}")
     print(f"network_buses: {net.n_buses}")
     print(f"network_lines: {net.n_lines}")
-    return 0
+    return [network_path, generations_path]
 
 
-def cmd_extract(args) -> int:
-    out = _out_dir(args)
+def cmd_extract(args, out: Path) -> list[Path]:
     net = network_mod.read_network_csv(args.network)
     groups = ingest.read_generations_csv(args.generations)
     pats = patterns.extract_patterns(groups, net)
@@ -99,19 +126,11 @@ def cmd_extract(args) -> int:
     counts_path = out / "degree_sequence_counts.csv"
     patterns.write_patterns_file(patterns_path, pats)
     patterns.write_degree_sequence_counts(counts_path, pats)
-    _write_manifest(
-        out,
-        "extract",
-        inputs={"generations": args.generations, "network": args.network},
-        parameters={"seed": args.seed},
-        outputs=[patterns_path, counts_path],
-    )
     print(f"patterns: {len(pats)}")
-    return 0
+    return [patterns_path, counts_path]
 
 
-def cmd_fit(args) -> int:
-    out = _out_dir(args)
+def cmd_fit(args, out: Path) -> list[Path]:
     pats = patterns.read_patterns_file(args.patterns)
     sizes = [len(p.lines) for p in pats]
     model = zipf.fit_mle(sizes)
@@ -125,10 +144,12 @@ def cmd_fit(args) -> int:
     report_path = out / "fit_report.txt"
     json_path = out / "fit.json"
     histogram_path = out / "size_histogram.csv"
-    with open(report_path, "w", newline="") as fh:
-        fh.write(zipf.fit_report(model, sizes))
-        fh.write(f"p_one_plus_observed: {'none' if p_one_plus is None else f'{p_one_plus:.6f}'}\n")
-        fh.write(f"p_circuits: {'none' if p_circuits is None else f'{p_circuits:.6f}'}\n")
+    _write_text(
+        report_path,
+        zipf.fit_report(model, sizes)
+        + f"p_one_plus_observed: {'none' if p_one_plus is None else f'{p_one_plus:.6f}'}\n"
+        + f"p_circuits: {'none' if p_circuits is None else f'{p_circuits:.6f}'}\n",
+    )
     _write_json(
         json_path,
         {
@@ -145,33 +166,15 @@ def cmd_fit(args) -> int:
     freqs = histogram.frequencies
     rows = ((size, histogram.counts[size], f"{freqs[size]:.12g}") for size in histogram.sizes)
     write_table(histogram_path, ("size", "count", "frequency"), rows)
-    _write_manifest(
-        out,
-        "fit",
-        inputs={
-            "patterns": args.patterns,
-            **({"generations": args.generations} if args.generations else {}),
-            **({"network": args.network} if args.network else {}),
-        },
-        parameters={"seed": args.seed},
-        outputs=[report_path, json_path, histogram_path],
-    )
     print(f"s: {model.s:.4f}")
-    return 0
+    return [report_path, json_path, histogram_path]
 
 
-def cmd_calibrate(args) -> int:
-    out = _out_dir(args)
+def cmd_calibrate(args, out: Path) -> list[Path]:
     net = network_mod.read_network_csv(args.network)
-    config = generator.GeneratorConfig(
-        size_model=zipf.ZipfModel(args.s),
-        p_one_plus=0.5,
-        p_circuits=args.p_circuits,
-        seed=args.seed,
-    )
     result = generator.calibrate_p_one_plus(
         net,
-        config,
+        _config(args, 0.5, args.seed),
         args.target,
         ensemble_size=args.ensemble_size,
         tolerance=args.tolerance,
@@ -180,8 +183,7 @@ def cmd_calibrate(args) -> int:
     )
     trace_path = out / "calibration_trace.txt"
     json_path = out / "calibration.json"
-    with open(trace_path, "w", newline="") as fh:
-        fh.write(generator.format_calibration_trace(result))
+    _write_text(trace_path, generator.format_calibration_trace(result))
     _write_json(
         json_path,
         {
@@ -193,67 +195,25 @@ def cmd_calibrate(args) -> int:
             "evaluations": len(result.steps),
         },
     )
-    _write_manifest(
-        out,
-        "calibrate",
-        inputs={"network": args.network},
-        parameters={
-            "seed": args.seed,
-            "s": args.s,
-            "target": args.target,
-            "p_circuits": args.p_circuits,
-            "ensemble_size": args.ensemble_size,
-            "tolerance": args.tolerance,
-            "max_iterations": args.max_iterations,
-        },
-        outputs=[trace_path, json_path],
-    )
     print(f"p_one_plus: {result.p_one_plus:.6f}")
-    return 0
+    return [trace_path, json_path]
 
 
-def cmd_generate(args) -> int:
-    out = _out_dir(args)
+def cmd_generate(args, out: Path) -> list[Path]:
     net = network_mod.read_network_csv(args.network)
-    config = generator.GeneratorConfig(
-        size_model=zipf.ZipfModel(args.s),
-        p_one_plus=args.p_one_plus,
-        p_circuits=args.p_circuits,
-        seed=args.seed,
-    )
-    ensemble = generator.generate_ensemble(net, config, args.count, workers=args.threads)
+    ensemble = generator.generate_ensemble(net, _config(args, args.p_one_plus, args.seed), args.count, workers=args.threads)
     patterns_path = out / "generated_patterns.txt"
     generator.write_generated_patterns(patterns_path, ensemble)
-    _write_manifest(
-        out,
-        "generate",
-        inputs={"network": args.network},
-        parameters={
-            "seed": args.seed,
-            "s": args.s,
-            "p_one_plus": args.p_one_plus,
-            "p_circuits": args.p_circuits,
-            "count": args.count,
-        },
-        outputs=[patterns_path],
-    )
     print(f"generated: {len(ensemble)}")
-    return 0
+    return [patterns_path]
 
 
-def cmd_evaluate(args) -> int:
-    out = _out_dir(args)
+def cmd_evaluate(args, out: Path) -> list[Path]:
     net = network_mod.read_network_csv(args.network)
     observed = patterns.read_patterns_file(args.patterns)
     if not observed:
         raise DegenerateDataError("no observed patterns to evaluate against")
-    model = zipf.ZipfModel(args.s)
-    config = generator.GeneratorConfig(
-        size_model=model,
-        p_one_plus=args.p_one_plus,
-        p_circuits=args.p_circuits,
-        seed=args.seed,
-    )
+    config = _config(args, args.p_one_plus, args.seed)
     report = evaluation.evaluate_model(
         observed,
         net,
@@ -267,65 +227,26 @@ def cmd_evaluate(args) -> int:
     text_path = out / "evaluation.txt"
     sizes_path = out / "size_distribution.csv"
     evaluation.write_evaluation_csv(csv_path, report)
-    with open(text_path, "w", newline="") as fh:
-        fh.write(evaluation.format_evaluation_report(report))
-    evaluation.write_size_distribution_csv(sizes_path, patterns.size_histogram(observed), model)
-    _write_manifest(
-        out,
-        "evaluate",
-        inputs={"network": args.network, "patterns": args.patterns},
-        parameters={
-            "seed": args.seed,
-            "s": args.s,
-            "p_one_plus": args.p_one_plus,
-            "p_circuits": args.p_circuits,
-            "repetitions": args.repetitions,
-            "permutations": args.permutations,
-        },
-        outputs=[csv_path, text_path, sizes_path],
-    )
+    _write_text(text_path, evaluation.format_evaluation_report(report))
+    evaluation.write_size_distribution_csv(sizes_path, patterns.size_histogram(observed), config.size_model)
     print(f"mean_distance: {report.mean_distance:.6f}")
     print(f"median_p_value: {report.median_p_value:.6f}")
-    return 0
+    return [csv_path, text_path, sizes_path]
 
 
-def cmd_synth(args) -> int:
-    out = _out_dir(args)
+def cmd_synth(args, out: Path) -> list[Path]:
+    # the history's config is built first, so a bad model flag fails before any write
+    config = _config(args, args.p_one_plus, derive_seed(args.seed, 1)) if args.history_count else None
     net = synthnet.synthetic_network(args.kind, args.lines, args.multi_circuit_fraction, args.seed)
-    network_path = out / "network.csv"
-    network_mod.write_network_csv(network_path, net)
-    outputs = [network_path]
-    parameters = {
-        "seed": args.seed,
-        "kind": args.kind,
-        "lines": args.lines,
-        "multi_circuit_fraction": args.multi_circuit_fraction,
-    }
-    if args.history_count:
-        if args.s is None or args.p_one_plus is None:
-            raise InputFormatError("--history-count requires --s and --p-one-plus")
-        config = generator.GeneratorConfig(
-            size_model=zipf.ZipfModel(args.s),
-            p_one_plus=args.p_one_plus,
-            p_circuits=args.p_circuits,
-            seed=derive_seed(args.seed, 1),
-        )
+    outputs = [out / "network.csv"]
+    network_mod.write_network_csv(out / "network.csv", net)
+    if config is not None:
         records, _ = synthnet.synthetic_history(net, config, args.history_count, workers=args.threads)
-        outages_path = out / "outages.csv"
-        ingest.write_outage_csv(outages_path, records)
-        outputs.append(outages_path)
-        parameters.update(
-            {
-                "history_count": args.history_count,
-                "s": args.s,
-                "p_one_plus": args.p_one_plus,
-                "p_circuits": args.p_circuits,
-            }
-        )
-    _write_manifest(out, "synth", inputs={}, parameters=parameters, outputs=outputs)
+        ingest.write_outage_csv(out / "outages.csv", records)
+        outputs.append(out / "outages.csv")
     print(f"network_buses: {net.n_buses}")
     print(f"network_lines: {net.n_lines}")
-    return 0
+    return outputs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -405,23 +326,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.threads < 1:
-            raise ValueError(f"--threads must be at least 1, got {args.threads}")
-        if args.seed < 0:
-            raise ValueError(f"--seed must be non-negative, got {args.seed}")
-        return args.func(args)
-    except (OSError, InputFormatError, ValueError) as exc:
+        _check(args)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        outputs = args.func(args, out)
+        _write_json(out / "manifest.json", _manifest(args, outputs))
+        return 0
+    except (OSError, ValueError, GridPatternsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CalibrationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except DegenerateDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except GridPatternsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+        return next(code for types, code in EXIT_CODES if isinstance(exc, types))
 
 
 if __name__ == "__main__":

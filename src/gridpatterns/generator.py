@@ -43,7 +43,6 @@ from .patterns import (
     _trusted_pattern,
     degree_sequence,
     format_pattern,
-    p_one_plus_observed,
 )
 from .rng import _BLOCK, Stream, Words, _bounded_uint32, _next_double, _pcg64_next, _pcg64_states
 from .zipf import ZipfModel
@@ -289,11 +288,6 @@ def generate_ensemble(
     with process_pool(processes) as pool:
         parts = run_all(pool, _ensemble_chunk, tasks)
     return [generated for part in parts for generated in part]
-
-
-def measure_p_one_plus_generated(generated: Iterable[GeneratedPattern]) -> float | None:
-    """:func:`p_one_plus_observed` over generated patterns, so calibration compares like with like."""
-    return p_one_plus_observed(generated)
 
 
 @dataclass(frozen=True)

@@ -85,15 +85,6 @@ class Network:
         return f"Network({self.n_buses} buses, {self.n_lines} lines)"
 
 
-def pattern_degrees(pattern_lines: Iterable[Line]) -> dict[str, int]:
-    """Degree of each bus inside the subgraph formed by ``pattern_lines``."""
-    degrees: dict[str, int] = {}
-    for a, b in pattern_lines:
-        degrees[a] = degrees.get(a, 0) + 1
-        degrees[b] = degrees.get(b, 0) + 1
-    return degrees
-
-
 def build_network_from_outages(
     records: Iterable[OutageRecord], exclusions: Iterable[Line] = ()
 ) -> Network:

@@ -11,13 +11,14 @@ package's draws against numpy's.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
 from gridpatterns.generator import GeneratedPattern, GeneratorConfig
 from gridpatterns.lines import Line, canonical_line
-from gridpatterns.network import Network, pattern_degrees
+from gridpatterns.network import Network
 from gridpatterns.patterns import Pattern
 
 
@@ -59,7 +60,7 @@ def attachable_lines(network: Network, pattern_lines: Iterable[Line]) -> Attacha
     extra = pat - network.line_set
     if extra:
         raise ValueError(f"pattern uses lines outside the network: {sorted(extra)[:3]}")
-    deg1, deg2 = partition_attachable(network, pat, pattern_degrees(pat))
+    deg1, deg2 = partition_attachable(network, pat, Counter(bus for line in pat for bus in line))
     return AttachablePartition(frozenset(deg1), frozenset(deg2))
 
 

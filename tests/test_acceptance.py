@@ -38,10 +38,9 @@ from gridpatterns.generator import (
     GeneratorConfig,
     calibrate_p_one_plus,
     generate_ensemble,
-    measure_p_one_plus_generated,
 )
 from gridpatterns.network import read_network_csv
-from gridpatterns.patterns import n_one_plus
+from gridpatterns.patterns import n_one_plus, p_one_plus_observed
 from gridpatterns.rng import derive_seed, substream
 from gridpatterns.synthnet import synthetic_history
 from gridpatterns.zipf import ZipfModel, fit_mle
@@ -181,7 +180,7 @@ def test_criterion_05_generator_statistical_fidelity(mesh480):
 
 def test_criterion_06_calibration_round_trip(mesh480):
     config = GeneratorConfig(size_model=ZipfModel(4.1), p_one_plus=0.3, seed=6)
-    target = measure_p_one_plus_generated(generate_ensemble(mesh480, config, 10**5))
+    target = p_one_plus_observed(generate_ensemble(mesh480, config, 10**5))
     result = calibrate_p_one_plus(
         mesh480, config, target, ensemble_size=10**5, tolerance=0.005, max_iterations=20
     )
@@ -339,7 +338,7 @@ def test_criterion_10_end_to_end_round_trip(tmp_path):
         p_circuits=truth_pc, seed=derive_seed(seed, 1),
     )
     _, ensemble = synthetic_history(net, config, 20000)
-    own_estimate = measure_p_one_plus_generated(ensemble)
+    own_estimate = p_one_plus_observed(ensemble)
 
     s_ok = abs(fit_data["s"] - truth_s) <= 0.1
     p1_ok = abs(fit_data["p_one_plus_observed"] - own_estimate) <= 0.03

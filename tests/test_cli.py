@@ -112,6 +112,90 @@ def test_manifest_checksums_match_files(pipeline):
             assert recomputed == digest
 
 
+def _pinned_case_argv(case, pipeline, tmp_path) -> tuple:
+    if case == "synth":
+        return ("synth", "--kind", "grid-mesh", "--lines", 40, "--multi-circuit-fraction", 0.2, "--seed", 3)
+    if case == "ingest":
+        aliases = tmp_path / "aliases.csv"
+        aliases.write_text("raw_name,canonical_name\nr0c0,HUB\n")
+        exclusions = tmp_path / "exclusions.csv"
+        exclusions.write_text("from_bus,to_bus\nR0C0,R0C1\n")
+        return (
+            "ingest", "--outages", pipeline["synth"] / "outages.csv",
+            "--aliases", aliases, "--exclusions", exclusions, "--seed", 7,
+        )
+    if case == "fit":
+        return (
+            "fit", "--patterns", pipeline["extract"] / "patterns.txt",
+            "--generations", pipeline["ingest"] / "generations.csv",
+        )
+    return (
+        "generate", "--network", pipeline["ingest"] / "network.csv", "--s", 3.0,
+        "--p-one-plus", 0.4, "--count", 100, "--seed", 6, "--threads", 2,
+    )
+
+
+# Manifests recorded while each command still wrote its own, with `inputs`
+# cut to its keys since the paths differ from run to run.
+PINNED_MANIFESTS = {
+    "fit": {
+        "command": "fit",
+        "inputs": ["generations", "patterns"],
+        "outputs": {
+            "fit.json": "cca880862c4a46337cc29d7b0d010348ff1b57713ddf2ca8f6cf5eae8e6ea204",
+            "fit_report.txt": "c99405956f92c5a9159edfa19e09edac21835c5fe1af23aba4e7bbe619010301",
+            "size_histogram.csv": "9513212d137e6ccbd13d3e5174bc5565d13d26ea0decc32f782cedddf720fc40",
+        },
+        "parameters": {"seed": 0},
+    },
+    "generate": {
+        "command": "generate",
+        "inputs": ["network"],
+        "outputs": {
+            "generated_patterns.txt": "3111297003bf590f2d22c94dd5856f6b85ff4b381dd69d20b755d69d96c413df",
+        },
+        "parameters": {
+            "count": 100,
+            "p_circuits": 0.0,
+            "p_one_plus": 0.4,
+            "s": 3.0,
+            "seed": 6,
+        },
+    },
+    "ingest": {
+        "command": "ingest",
+        "inputs": ["aliases", "exclusions", "outages"],
+        "outputs": {
+            "generations.csv": "0a053d303846c1b9b9f6e3fcb961706ec40c1750739dbc006497deb06258a47b",
+            "network.csv": "24b0f9f897d8ec22153bc04a1eca04f0f762fc638c86b7e739c34752d40228b1",
+        },
+        "parameters": {"seed": 7},
+    },
+    "synth": {
+        "command": "synth",
+        "inputs": [],
+        "outputs": {
+            "network.csv": "70e48629a8f056004b947c796b628c544c50edb030ec06efe0bcc019c03752ed",
+        },
+        "parameters": {
+            "kind": "grid-mesh",
+            "lines": 40,
+            "multi_circuit_fraction": 0.2,
+            "seed": 3,
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_MANIFESTS))
+def test_manifest_matches_pinned(pipeline, tmp_path, case):
+    argv = _pinned_case_argv(case, pipeline, tmp_path)
+    assert _run(*argv, "--out", tmp_path / "out") == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert set(manifest["inputs"].values()) <= {str(arg) for arg in argv}
+    assert {**manifest, "inputs": sorted(manifest["inputs"])} == PINNED_MANIFESTS[case]
+
+
 def test_fit_without_network_leaves_p_circuits_null(pipeline, tmp_path):
     assert _run("fit", "--patterns", pipeline["extract"] / "patterns.txt", "--out", tmp_path) == 0
     fit = json.loads((tmp_path / "fit.json").read_text())
@@ -288,6 +372,18 @@ def test_negative_seed_exit_2_before_any_output(pipeline, tmp_path, capsys, comm
     out = tmp_path / "out"
     assert _run(command, *flags, "--seed", -1, "--out", out) == 2
     assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--history-count", 5), ("--history-count", -5, "--s", 3.0, "--p-one-plus", 0.3)],
+)
+def test_synth_bad_history_exit_2_before_any_output(tmp_path, capsys, flags):
+    # both used to write network.csv and then fail without a manifest
+    out = tmp_path / "out"
+    assert _run("synth", "--kind", "grid-mesh", "--lines", 40, *flags, "--out", out) == 2
+    assert "--history-count" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -61,10 +61,9 @@ def test_demo_stage_matches_tracked_bytes(rerun, stage):
     assert sorted(path.name for path in produced.iterdir()) == names
     for name in names:
         if name == "manifest.json":
-            # manifests record absolute input paths; the rest must agree
+            # manifests record absolute input paths, so of `inputs` only the keys must agree
             mine, theirs = (json.loads((d / name).read_text()) for d in (produced, tracked))
-            assert {k: v for k, v in mine.items() if k != "inputs"} == {
-                k: v for k, v in theirs.items() if k != "inputs"
-            }
+            assert sorted(mine.pop("inputs")) == sorted(theirs.pop("inputs"))
+            assert mine == theirs
         else:
             assert (produced / name).read_bytes() == (tracked / name).read_bytes(), name

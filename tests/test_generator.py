@@ -25,12 +25,11 @@ from gridpatterns.generator import (
     format_calibration_trace,
     format_generated_pattern,
     generate_ensemble,
-    measure_p_one_plus_generated,
     write_generated_patterns,
 )
 from gridpatterns.lines import Line, parse_line
 from gridpatterns.network import Network
-from gridpatterns.patterns import Pattern, _sequence_counts, degree_sequence, parse_pattern
+from gridpatterns.patterns import Pattern, _sequence_counts, degree_sequence, p_one_plus_observed, parse_pattern
 from gridpatterns.rng import Stream, substream
 from gridpatterns.synthnet import synthetic_network
 from gridpatterns.zipf import ZipfModel
@@ -416,18 +415,18 @@ def test_measure_hand_values():
     chain = GeneratedPattern(_pattern(("A", "B"), ("B", "C"), ("C", "D")), frozenset(), 3, 3)
     star = GeneratedPattern(_pattern(("A", "X"), ("B", "X"), ("C", "X")), frozenset(), 3, 3)
     single = GeneratedPattern(_pattern(("A", "B")), frozenset(), 1, 1)
-    assert measure_p_one_plus_generated([chain]) == pytest.approx(1.0)
-    assert measure_p_one_plus_generated([star]) == pytest.approx(0.0)
-    assert measure_p_one_plus_generated([chain, star]) == pytest.approx(0.5)
-    assert measure_p_one_plus_generated([single]) is None
-    assert measure_p_one_plus_generated([]) is None
+    assert p_one_plus_observed([chain]) == pytest.approx(1.0)
+    assert p_one_plus_observed([star]) == pytest.approx(0.0)
+    assert p_one_plus_observed([chain, star]) == pytest.approx(0.5)
+    assert p_one_plus_observed([single]) is None
+    assert p_one_plus_observed([]) is None
 
 
 def test_measured_value_increases_with_p(mesh480):
     values = []
     for p in (0.0, 0.5, 1.0):
         ensemble = generate_ensemble(mesh480, _config(2.5, p, seed=29), 3000)
-        values.append(measure_p_one_plus_generated(ensemble))
+        values.append(p_one_plus_observed(ensemble))
     assert values[0] < values[1] < values[2]
 
 
@@ -435,7 +434,7 @@ def test_calibration_round_trip(mesh480):
     # common random numbers make the generated value an exact function of p,
     # so calibrating to a measured value recovers a nearby parameter
     probe = generate_ensemble(mesh480, _config(4.09, 0.3, seed=0), 10_000)
-    target = measure_p_one_plus_generated(probe)
+    target = p_one_plus_observed(probe)
     result = calibrate_p_one_plus(
         mesh480,
         _config(4.09, 0.5, seed=0),
@@ -519,7 +518,7 @@ def test_calibration_matches_full_regeneration_at_every_step(mesh480):
     assert len(result.steps) == 6
     for step in result.steps:
         ensemble = generate_ensemble(mesh480, replace(config, p_one_plus=step.p_one_plus), size)
-        assert step.generated_value == measure_p_one_plus_generated(ensemble)
+        assert step.generated_value == p_one_plus_observed(ensemble)
     assert calibrate_p_one_plus(mesh480, config, 0.5, workers=2, **options) == result
 
 
@@ -531,7 +530,7 @@ def test_calibration_with_uniform_seed_lines_matches_full_regeneration(mesh480):
     result = calibrate_p_one_plus(mesh480, config, 0.5, ensemble_size=size, tolerance=0.0, max_iterations=2)
     for step in result.steps:
         ensemble = generate_ensemble(mesh480, replace(config, p_one_plus=step.p_one_plus), size)
-        assert step.generated_value == measure_p_one_plus_generated(ensemble)
+        assert step.generated_value == p_one_plus_observed(ensemble)
 
 
 def test_saturation_on_small_network(path3):

@@ -2,9 +2,12 @@
 
 from datetime import datetime
 
+import numpy as np
 import pytest
 
+from gridpatterns.distance import empirical_distribution
 from gridpatterns.errors import DegenerateDataError, InputFormatError
+from gridpatterns.evaluation import permutation_test
 from gridpatterns.ingest import GenerationGroup
 from gridpatterns.network import Network
 from gridpatterns.patterns import (
@@ -293,3 +296,17 @@ def test_line_count_matches_pattern_size(mesh480):
     config = GeneratorConfig(size_model=ZipfModel(2.5), p_one_plus=0.4, seed=6)
     for gp in generate_ensemble(mesh480, config, 300):
         assert line_count(degree_sequence(gp.pattern)) == len(gp.pattern.lines)
+
+
+def test_numpy_integer_degree_sequences_are_sequences():
+    # entries of numpy integer type were taken for the lines of a pattern
+    plain = [(2, 1, 1), (2, 2, 1, 1), (3, 1, 1, 1), (2, 1, 1)]
+    numpy_ints = [tuple(np.array(seq)) for seq in plain]
+    assert p_one_plus_observed(numpy_ints) == p_one_plus_observed(plain) == 0.5
+    a, b = empirical_distribution(numpy_ints), empirical_distribution(plain)
+    assert a.support == b.support
+    assert a.probabilities.tolist() == b.probabilities.tolist()
+    other = [(1, 1), (2, 2, 2), (2, 2, 1, 1)]
+    assert permutation_test(numpy_ints, other, 19, np.random.default_rng(0)) == permutation_test(
+        plain, other, 19, np.random.default_rng(0)
+    )
