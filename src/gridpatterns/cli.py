@@ -16,7 +16,8 @@ value, so reruns with the same manifest are byte-identical.
 
 Exit codes: 0 on success; 2 for input and format problems and for invalid
 arguments (such as ``--threads`` below 1, a negative ``--seed`` or
-``--history-count``, or a calibration ensemble size or iteration count
+``--history-count``, ``fit`` given only one of ``--generations`` and
+``--network``, or a calibration ensemble size or iteration count
 below 1 or a negative or NaN tolerance); 3 for empty or degenerate data; 4
 for calibration failure; 5 for any other error this package raises.
 """
@@ -71,7 +72,7 @@ def _manifest(args, outputs: list[Path]) -> dict:
 
 
 def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 
 
@@ -84,7 +85,7 @@ def _config(args, p_one_plus: float, seed: int) -> generator.GeneratorConfig:
 
 
 def _check(args) -> None:
-    """Reject arguments that would fail a command part way, before ``--out`` is created."""
+    """Reject arguments a command cannot use as given, before ``--out`` is created."""
     if args.threads < 1:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
     if args.seed < 0:
@@ -94,6 +95,8 @@ def _check(args) -> None:
             raise ValueError(f"--history-count must be non-negative, got {args.history_count}")
         if args.s is None or args.p_one_plus is None:
             raise InputFormatError("--history-count requires --s and --p-one-plus")
+    if args.command == "fit" and bool(args.generations) != bool(args.network):
+        raise InputFormatError("fit needs --generations and --network together, or neither")
 
 
 def cmd_ingest(args, out: Path) -> list[Path]:
@@ -136,7 +139,7 @@ def cmd_fit(args, out: Path) -> list[Path]:
     model = zipf.fit_mle(sizes)
     p_one_plus = patterns.p_one_plus_observed(pats)
     p_circuits = None
-    if args.generations and args.network:
+    if args.generations:
         net = network_mod.read_network_csv(args.network)
         groups = ingest.read_generations_csv(args.generations)
         p_circuits = patterns.estimate_p_circuits(groups, net)
@@ -278,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", parents=[common], help="fit the size distribution and statistics")
     p.add_argument("--patterns", required=True, help="pattern file from extract")
-    p.add_argument("--generations", help="generations CSV, enables p_circuits")
-    p.add_argument("--network", help="network CSV, enables p_circuits")
+    p.add_argument("--generations", help="generations CSV; with --network, enables p_circuits")
+    p.add_argument("--network", help="network CSV; with --generations, enables p_circuits")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("calibrate", parents=[common], help="calibrate p_one_plus to a target")

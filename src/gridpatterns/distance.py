@@ -6,6 +6,9 @@ The edit distance between two sequences is the shortest path length in that
 graph, and the distance between two pattern sets is the Wasserstein distance
 between their empirical degree-sequence distributions under that ground
 metric, computed exactly as a minimum-cost flow by successive shortest paths.
+Validity verdicts and neighbour tuples depend on the sequence alone, so they
+are memoized process-wide; pair distances are memoized per
+:class:`SequenceGraph`.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .patterns import DegreeSequence, _sequence_counts, check_degree_sequence, l
 def is_connected_graphical(seq: Sequence[int]) -> bool:
     """Whether some connected simple graph has this degree sequence.
 
-    Combines the Havel-Hakimi test for simple graphicality with the two
+    Combines the Erdős–Gallai test for simple graphicality with the two
     conditions that make a connected realization possible: every degree is
     at least 1 and the degree sum is at least 2*(bus count - 1).  A
     graphical sequence satisfying those bounds always has a connected
@@ -44,101 +47,70 @@ def _valid_canonical(values: DegreeSequence) -> bool:
     # values nonincreasing and positive; candidates recur across many parent
     # sequences, so the verdict is memoized process-wide
     total = sum(values)
-    if total % 2:
+    if total % 2 or total < 2 * (len(values) - 1):
         return False
-    if total < 2 * (len(values) - 1):
-        return False
-    work = list(values)
-    while work:
-        work.sort(reverse=True)
-        d = work.pop(0)
-        if d == 0:
-            return True
-        if d > len(work):
+    # Erdős–Gallai: the k largest degrees sum to at most k*(k-1) plus
+    # min(d, k) over the other degrees d.  Checking the k that end a run of
+    # equal degrees suffices (Tripathi & Vijay, Discrete Math. 265, 2003).
+    runs = list(collections.Counter(values).items())  # (degree, count), degree falling
+    k = head = 0
+    for i, (degree, count) in enumerate(runs):
+        k += count
+        head += degree * count
+        if head > k * (k - 1) + sum(min(d, k) * c for d, c in runs[i + 1 :]):
             return False
-        for i in range(d):
-            work[i] -= 1
-            if work[i] < 0:
-                return False
     return True
 
 
-def _expand(counts: dict[int, int]) -> DegreeSequence:
-    """Desc-sorted tuple from a degree -> multiplicity map, zeros dropped."""
-    out: list[int] = []
-    for val in sorted(counts, reverse=True):
-        if val > 0 and counts[val] > 0:
-            out.extend([val] * counts[val])
-    return tuple(out)
-
-
 @functools.cache
-def _additions_canonical(canon: DegreeSequence) -> tuple[DegreeSequence, ...]:
-    """Valid degree sequences reachable from a canonical one by adding one line, sorted.
+def _moves(canon: DegreeSequence, step: int) -> tuple[DegreeSequence, ...]:
+    """Valid degree sequences one line away from a canonical one, sorted.
 
-    Adding a line either joins two existing buses (two entries increment) or
-    taps one existing bus to a new bus (one entry increments and a 1 is
-    appended).  Candidates failing :func:`is_connected_graphical` are
-    discarded.
+    ``step`` is +1 to add a line and -1 to remove one.  The move shifts the
+    degrees of the line's two end buses by ``step``: any two buses of the
+    sequence, or for an addition one bus and a fresh bus of degree 0; a bus
+    lowered to 0 leaves the sequence.  Pairs are taken over distinct degree
+    values, not positions, which gives the same sequences and keeps long
+    near-uniform sequences cheap.  A line whose two ends both have degree 1
+    after an addition or before a removal is a component of its own, so
+    that pair is skipped; the other candidates failing the validity test
+    are discarded.  The two directions are exact inverses.
     """
-    # iterate distinct degree values, not positions: same canonical results,
-    # and long near-uniform sequences stay cheap
     counts = collections.Counter(canon)
-    values = sorted(counts)
+    values = sorted(counts) if step < 0 else [0, *sorted(counts)]
     candidates: set[DegreeSequence] = set()
     for i, u in enumerate(values):
         for v in values[i:]:
-            if u == v and counts[u] < 2:
-                continue
-            new = counts.copy()
-            new[u] -= 1
-            new[v] -= 1
-            new[u + 1] = new.get(u + 1, 0) + 1
-            new[v + 1] = new.get(v + 1, 0) + 1
-            candidates.add(_expand(new))
-    for u in values:
-        new = counts.copy()
-        new[u] -= 1
-        new[u + 1] = new.get(u + 1, 0) + 1
-        new[1] = new.get(1, 0) + 1
-        candidates.add(_expand(new))
-    return tuple(sorted(c for c in candidates if is_connected_graphical(c)))
-
-
-@functools.cache
-def _removals_canonical(canon: DegreeSequence) -> tuple[DegreeSequence, ...]:
-    """Valid degree sequences reachable from a canonical one by removing one line, sorted.
-
-    Exact inverse of :func:`_additions_canonical`: decrement two entries, and
-    a bus dropping to degree 0 leaves the sequence.  At most one entry may
-    drop to 0, because a line between two degree-1 buses would be a
-    component of its own and could not belong to a connected pattern with
-    other lines.  Candidates failing the validity test are discarded.
-    """
-    counts = collections.Counter(canon)
-    values = sorted(counts)
-    candidates: set[DegreeSequence] = set()
-    for i, u in enumerate(values):
-        for v in values[i:]:
-            if u == 1 and v == 1:
+            if max(u, u + step) == max(v, v + step) == 1:
                 continue
             if u == v and counts[u] < 2:
                 continue
             new = counts.copy()
             new[u] -= 1
             new[v] -= 1
-            new[u - 1] = new.get(u - 1, 0) + 1
-            new[v - 1] = new.get(v - 1, 0) + 1
-            reduced = _expand(new)
-            if reduced:
-                candidates.add(reduced)
-    return tuple(sorted(c for c in candidates if is_connected_graphical(c)))
+            new[u + step] += 1
+            new[v + step] += 1
+            candidates.add(tuple(d for d in sorted(new, reverse=True) if d > 0 for _ in range(new[d])))
+    return tuple(sorted(c for c in candidates if _valid_canonical(c)))
+
+
+@functools.cache
+def _neighbors(canon: DegreeSequence) -> tuple[DegreeSequence, ...]:
+    """Every one-line-edit neighbour of a canonical valid sequence, additions first."""
+    return _moves(canon, 1) + _moves(canon, -1)
+
+
+def _check_node(seq: Sequence[int]) -> DegreeSequence:
+    """The canonical form of a sequence, or ValueError if it is not a node of the graph."""
+    canon = check_degree_sequence(seq)
+    if not _valid_canonical(canon):
+        raise ValueError(f"{canon} is not a connected-graphical degree sequence")
+    return canon
 
 
 def sequence_neighbors(seq: Sequence[int]) -> set[DegreeSequence]:
-    """All one-line-edit neighbors of a sequence."""
-    canon = check_degree_sequence(seq)
-    return set(_additions_canonical(canon)) | set(_removals_canonical(canon))
+    """All one-line-edit neighbors of a connected-graphical sequence."""
+    return set(_neighbors(_check_node(seq)))
 
 
 def _alignment_bound(a: DegreeSequence, b: DegreeSequence) -> int:
@@ -178,7 +150,7 @@ def _alignment_bound(a: DegreeSequence, b: DegreeSequence) -> int:
     return 2 * adds - delta
 
 
-def _bounded_search(a, b, lower, upper, neighbors_fn) -> int:
+def _bounded_search(a, b, lower, upper) -> int:
     """Exact shortest-path length given a known path of length ``upper``.
 
     Best-first search toward ``b`` with the alignment bound as an admissible
@@ -201,7 +173,7 @@ def _bounded_search(a, b, lower, upper, neighbors_fn) -> int:
         depth = -neg_depth
         if depth > depths.get(node, depth):
             continue  # superseded by a shorter arrival
-        for nb in neighbors_fn(node):
+        for nb in _neighbors(node):
             through = depth + 1
             seen = depths.get(nb)
             if seen is not None and seen <= through:
@@ -224,32 +196,17 @@ class SequenceGraph:
     is the true one-line-edit metric.  Each distance starts from the
     counting lower bound; a bounded best-first search on depth plus bound
     settles the pairs the bound does not decide outright, with ties going
-    to the deeper node.  Pair results and neighbor tuples are memoized on
-    the instance.
+    to the deeper node.  Pair results are memoized on the instance;
+    validity verdicts and neighbour tuples depend on the sequence alone, so
+    they are memoized process-wide and shared by every instance.
     """
 
     def __init__(self):
-        self._adj: dict[DegreeSequence, tuple[DegreeSequence, ...]] = {}
         self._pairs: dict[tuple[DegreeSequence, DegreeSequence], int] = {}
-
-    def _check_node(self, seq: Sequence[int]) -> DegreeSequence:
-        canon = check_degree_sequence(seq)
-        if not is_connected_graphical(canon):
-            raise ValueError(f"{canon} is not a connected-graphical degree sequence")
-        return canon
-
-    def _neighbors(self, canon: DegreeSequence) -> tuple[DegreeSequence, ...]:
-        # the search reaches only canonical connected-graphical nodes, so it
-        # skips _check_node
-        cached = self._adj.get(canon)
-        if cached is None:
-            cached = _additions_canonical(canon) + _removals_canonical(canon)
-            self._adj[canon] = cached
-        return cached
 
     def distance(self, a: Sequence[int], b: Sequence[int]) -> int:
         """Shortest one-line-edit path length between two sequences."""
-        return self._distance(self._check_node(a), self._check_node(b))
+        return self._distance(_check_node(a), _check_node(b))
 
     def _distance(self, ca: DegreeSequence, cb: DegreeSequence) -> int:
         if ca == cb:
@@ -264,7 +221,7 @@ class SequenceGraph:
             if upper == lower:
                 hit = upper
             else:
-                hit = _bounded_search(ca, cb, lower, upper, self._neighbors)
+                hit = _bounded_search(ca, cb, lower, upper)
             self._pairs[key] = hit
         return hit
 
@@ -272,8 +229,8 @@ class SequenceGraph:
         self, sources: Sequence[Sequence[int]], targets: Sequence[Sequence[int]]
     ) -> np.ndarray:
         """Matrix of pairwise distances over the two supports."""
-        src_canon = [self._check_node(s) for s in sources]
-        tgt_canon = [self._check_node(t) for t in targets]
+        src_canon = [_check_node(s) for s in sources]
+        tgt_canon = [_check_node(t) for t in targets]
         out = np.zeros((len(src_canon), len(tgt_canon)), dtype=float)
         for i, src in enumerate(src_canon):
             for j, tgt in enumerate(tgt_canon):
@@ -314,8 +271,8 @@ class PatternDistribution:
             raise ValueError("empty distribution")
         if len(set(support)) != len(support):
             raise ValueError("support sequences must be distinct")
-        if np.any(probs < 0):
-            raise ValueError("probabilities must be nonnegative")
+        if not np.all(np.isfinite(probs)) or np.any(probs < 0):
+            raise ValueError("probabilities must be finite and nonnegative")
         if abs(float(probs.sum()) - 1.0) > 1e-9:
             raise ValueError(f"probabilities sum to {probs.sum()}, not 1")
         order = sorted(range(len(support)), key=lambda i: (line_count(support[i]), support[i]))

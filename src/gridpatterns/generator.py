@@ -472,7 +472,7 @@ def format_generated_pattern(generated: GeneratedPattern) -> str:
 
 def write_generated_patterns(path, generated: Iterable[GeneratedPattern]) -> None:
     """Write one generated pattern per line in input order."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         for gp in generated:
             fh.write(format_generated_pattern(gp))
             fh.write("\n")

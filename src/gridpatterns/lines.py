@@ -115,7 +115,7 @@ def read_table(path, columns: tuple[str, ...], parse: Callable[..., T]) -> list[
     InputFormatError; row errors name the row's line.
     """
     out: list[T] = []
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
@@ -140,7 +140,7 @@ def read_table(path, columns: tuple[str, ...], parse: Callable[..., T]) -> list[
 
 def write_table(path, columns: tuple[str, ...], rows: Iterable[Iterable]) -> None:
     """Write a CSV table: the ``columns`` header, then one line per row."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows(rows)

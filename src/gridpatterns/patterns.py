@@ -248,7 +248,7 @@ def parse_pattern(text: str) -> frozenset[Line]:
 
 def write_patterns_file(path, patterns: Iterable[Pattern]) -> None:
     """Write one pattern per line in input order."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         for pattern in patterns:
             fh.write(format_pattern(pattern.lines))
             fh.write("\n")
@@ -261,7 +261,7 @@ def read_patterns_file(path) -> list[Pattern]:
     the bus names, just as in the network file.
     """
     out: list[Pattern] = []
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, text in enumerate(fh, start=1):
             text = text.rstrip("\n")
             if not text.strip():

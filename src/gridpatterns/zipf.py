@@ -9,7 +9,7 @@ distribution, hence less propagation past the initial outage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -23,6 +23,8 @@ from .rng import Stream
 # With cutoff 32 the first omitted term is below 1e-17 relative for all
 # s > 1, comfortably inside the 1e-12 accuracy target.
 _ZETA_CUTOFF = 32
+# fit_mle brackets the exponent in [_S_LOW, _S_HIGH] to within _S_TOL
+_S_LOW, _S_HIGH, _S_TOL = 1.0001, 20.0, 1e-4
 
 
 def zeta(s: float) -> float:
@@ -67,7 +69,7 @@ class ZipfModel:
     """
 
     s: float
-    zeta_s: float = 0.0
+    zeta_s: float = field(init=False)
 
     def __post_init__(self):
         if not (self.s > 1.0 and math.isfinite(self.s)):
@@ -146,18 +148,12 @@ def _checked_sizes(sizes: Sequence[int]) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def fit_mle(
-    sizes: Sequence[int],
-    *,
-    s_low: float = 1.0001,
-    s_high: float = 20.0,
-    tol: float = 1e-4,
-) -> ZipfModel:
+def fit_mle(sizes: Sequence[int]) -> ZipfModel:
     """Maximum-likelihood Zipf exponent for observed pattern sizes.
 
     The log-likelihood n*(-log zeta(s)) - s*sum(log k_i) is unimodal in s,
-    so a golden-section search on [s_low, s_high] brackets the maximizer to
-    within ``tol``.
+    so a golden-section search on [1.0001, 20] brackets the maximizer to
+    within 1e-4.
 
     Raises
     ------
@@ -179,7 +175,7 @@ def fit_mle(
     def neg_loglik(s: float) -> float:
         return n * math.log(zeta(s)) + s * log_sum
 
-    s_hat = _golden_min(neg_loglik, s_low, s_high, tol)
+    s_hat = _golden_min(neg_loglik, _S_LOW, _S_HIGH, _S_TOL)
     return ZipfModel(s_hat)
 
 

@@ -1,10 +1,11 @@
 """Independent oracles for degree-sequence validity, adjacency, and transport.
 
 Nothing here shares code with the package: validity comes from exhaustive
-connected-graph enumeration (small sizes) and the Erdos-Gallai inequalities
-(larger sizes), adjacency from a padded-increment formulation, distances
-from networkx BFS, and optimal transport from enumeration of basic feasible
-solutions of the transport polytope.
+connected-graph enumeration (small sizes), and from the Erdos-Gallai
+inequalities at every position and Havel-Hakimi reduction (larger sizes),
+adjacency from a padded-increment formulation, distances from networkx BFS,
+and optimal transport from enumeration of basic feasible solutions of the
+transport polytope.
 """
 
 from __future__ import annotations
@@ -59,6 +60,31 @@ def eg_connected_valid(seq: tuple[int, ...]) -> bool:
     if sum(seq) < 2 * (len(seq) - 1):
         return False
     return erdos_gallai_graphical(seq)
+
+
+def havel_hakimi_connected_valid(seq: tuple[int, ...]) -> bool:
+    """Connected-graphical test built on Havel-Hakimi: join the largest
+    remaining degree to the next largest ones until all are used up, after
+    the two connectivity conditions (every degree positive, degree sum at
+    least 2 * (bus count - 1))."""
+    work = sorted(seq, reverse=True)
+    if not work or work[-1] < 1:
+        return False
+    total = sum(work)
+    if total % 2 or total < 2 * (len(work) - 1):
+        return False
+    while work:
+        work.sort(reverse=True)
+        d = work.pop(0)
+        if d == 0:
+            return True
+        if d > len(work):
+            return False
+        for i in range(d):
+            work[i] -= 1
+            if work[i] < 0:
+                return False
+    return True
 
 
 def partitions_with_sum(total: int, max_part: int | None = None):

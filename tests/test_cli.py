@@ -1,13 +1,18 @@
 """End-to-end checks of the command line interface.
 
 All commands run in-process through cli.main so exit codes and outputs are
-observable without subprocesses.
+observable without subprocesses; only the locale check starts fresh
+interpreters, since the text encoding is fixed at interpreter start.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -125,10 +130,7 @@ def _pinned_case_argv(case, pipeline, tmp_path) -> tuple:
             "--aliases", aliases, "--exclusions", exclusions, "--seed", 7,
         )
     if case == "fit":
-        return (
-            "fit", "--patterns", pipeline["extract"] / "patterns.txt",
-            "--generations", pipeline["ingest"] / "generations.csv",
-        )
+        return ("fit", "--patterns", pipeline["extract"] / "patterns.txt")
     return (
         "generate", "--network", pipeline["ingest"] / "network.csv", "--s", 3.0,
         "--p-one-plus", 0.4, "--count", 100, "--seed", 6, "--threads", 2,
@@ -140,7 +142,7 @@ def _pinned_case_argv(case, pipeline, tmp_path) -> tuple:
 PINNED_MANIFESTS = {
     "fit": {
         "command": "fit",
-        "inputs": ["generations", "patterns"],
+        "inputs": ["patterns"],
         "outputs": {
             "fit.json": "cca880862c4a46337cc29d7b0d010348ff1b57713ddf2ca8f6cf5eae8e6ea204",
             "fit_report.txt": "c99405956f92c5a9159edfa19e09edac21835c5fe1af23aba4e7bbe619010301",
@@ -200,6 +202,17 @@ def test_fit_without_network_leaves_p_circuits_null(pipeline, tmp_path):
     assert _run("fit", "--patterns", pipeline["extract"] / "patterns.txt", "--out", tmp_path) == 0
     fit = json.loads((tmp_path / "fit.json").read_text())
     assert fit["p_circuits"] is None
+
+
+@pytest.mark.parametrize("given", ["generations", "network"])
+def test_fit_with_one_of_generations_and_network_exit_2_before_any_output(pipeline, tmp_path, capsys, given):
+    # one file alone used to be ignored while the manifest still listed it
+    path = pipeline["ingest"] / f"{given}.csv"
+    out = tmp_path / "out"
+    assert _run("fit", "--patterns", pipeline["extract"] / "patterns.txt", f"--{given}", path, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "--generations" in err and "--network" in err
+    assert not out.exists()
 
 
 def test_generate_command(pipeline, tmp_path):
@@ -488,3 +501,51 @@ def test_command_prints_summary(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "network_buses:" in out
     assert "network_lines: 12" in out
+
+
+NON_ASCII_OUTAGES = """timestamp,from_bus,to_bus,circuit_id,automatic
+2020-01-01 00:00,Köln,Bonn,1,auto
+2020-01-01 00:00,Bonn,Aachen,1,auto
+2020-01-02 00:00,Köln,Düren,1,auto
+2020-01-03 00:00,Aachen,Düren,1,auto
+2020-01-03 00:00,Köln,Bonn,1,auto
+"""
+
+# every reader and writer of bus names: the tables, patterns.txt,
+# generated_patterns.txt, and the text and JSON files of fit
+NON_ASCII_PIPELINE = """
+import sys
+from gridpatterns.cli import main
+for argv in (
+    ["ingest", "--outages", "outages.csv", "--out", "ingest"],
+    ["extract", "--generations", "ingest/generations.csv", "--network", "ingest/network.csv", "--out", "extract"],
+    ["fit", "--patterns", "extract/patterns.txt", "--out", "fit"],
+    ["generate", "--network", "ingest/network.csv", "--s", "3.0", "--p-one-plus", "0.4", "--count", "20", "--out", "generate"],
+):
+    if main(argv):
+        sys.exit(argv[0] + " failed")
+"""
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    # under the C locale without UTF-8 mode the default encoding is ASCII
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        PYTHONCOERCECLOCALE="0",
+        LC_ALL="C",
+    )
+    files = {}
+    for mode in ("utf8=0", "utf8=1"):
+        work = tmp_path / mode
+        work.mkdir()
+        (work / "outages.csv").write_bytes(NON_ASCII_OUTAGES.encode("utf-8"))
+        run = subprocess.run(
+            [sys.executable, "-X", mode, "-c", NON_ASCII_PIPELINE],
+            cwd=work, env=env, capture_output=True, text=True, errors="replace", timeout=120,
+        )
+        assert run.returncode == 0, (mode, run.stderr)
+        files[mode] = {path.relative_to(work).as_posix(): path.read_bytes() for path in work.rglob("*") if path.is_file()}
+    assert files["utf8=0"] == files["utf8=1"]
+    assert "KÖLN".encode("utf-8") in files["utf8=1"]["extract/patterns.txt"]  # names are upper-cased

@@ -12,6 +12,7 @@ from seq_oracle import (
     brute_force_transport,
     connected_graph_sequences,
     eg_connected_valid,
+    havel_hakimi_connected_valid,
     oracle_distance,
     oracle_graph,
     partitions_with_sum,
@@ -23,9 +24,8 @@ from gridpatterns.distance import (
     SequenceGraph,
     TransportSolver,
     empirical_distribution,
-    _additions_canonical,
+    _moves,
     _north_west_cost,
-    _removals_canonical,
     is_connected_graphical,
     sequence_distance,
     sequence_neighbors,
@@ -72,35 +72,58 @@ def test_validity_spot_cases():
     assert not is_connected_graphical((0, 1))
 
 
+def test_validity_matches_havel_hakimi_to_ten_lines():
+    for lines in range(1, 11):
+        for seq in all_candidates(lines):
+            assert is_connected_graphical(seq) == havel_hakimi_connected_valid(seq), seq
+
+
+def test_validity_matches_havel_hakimi_on_long_sequences():
+    # 50 to 600 buses, beyond reach of graph enumeration; the degree caps
+    # give both verdicts, for connectivity as well as for graphicality
+    rng = np.random.default_rng(20031)
+    verdicts = []
+    for _ in range(240):
+        buses = int(rng.integers(50, 601))
+        top = int(rng.choice([2, 3, 6, 12, 40, 200]))
+        degrees = rng.integers(1, min(top, buses - 1) + 1, size=buses)
+        degrees[0] += int(degrees.sum()) % 2
+        seq = tuple(sorted(degrees.tolist(), reverse=True))
+        expected = havel_hakimi_connected_valid(seq)
+        assert is_connected_graphical(seq) == expected, seq
+        verdicts.append(expected)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
 def test_additions_of_two_line_chain():
     # all connected 3-line graphs: the triangle, the 4-chain, and the star
-    assert set(_additions_canonical((2, 1, 1))) == {(2, 2, 2), (2, 2, 1, 1), (3, 1, 1, 1)}
+    assert set(_moves((2, 1, 1), 1)) == {(2, 2, 2), (2, 2, 1, 1), (3, 1, 1, 1)}
 
 
 def test_additions_match_graph_enumeration():
     enumerated = connected_graph_sequences(5)
     for lines in range(1, 5):
         for seq in enumerated[lines]:
-            assert set(_additions_canonical(seq)) <= enumerated[lines + 1]
+            assert set(_moves(seq, 1)) <= enumerated[lines + 1]
 
 
 def test_removals_of_triangle():
-    assert set(_removals_canonical((2, 2, 2))) == {(2, 1, 1)}
+    assert set(_moves((2, 2, 2), -1)) == {(2, 1, 1)}
 
 
 def test_neighbors_of_single_line():
     assert sequence_neighbors((1, 1)) == {(2, 1, 1)}
-    assert _removals_canonical((1, 1)) == ()
+    assert _moves((1, 1), -1) == ()
 
 
 def test_additions_removals_are_dual():
     by_lines = valid_sequences(6)
     for lines in range(1, 6):
         for seq in by_lines[lines]:
-            for up in _additions_canonical(seq):
-                assert seq in _removals_canonical(up), (seq, up)
-            for down in _removals_canonical(seq):
-                assert seq in _additions_canonical(down), (seq, down)
+            for up in _moves(seq, 1):
+                assert seq in _moves(up, -1), (seq, up)
+            for down in _moves(seq, -1):
+                assert seq in _moves(down, 1), (seq, down)
 
 
 def test_neighbors_match_oracle_graph():
@@ -150,6 +173,15 @@ def test_sequence_graph_rejects_invalid_nodes():
         graph.distance((3, 3, 1, 1), (1, 1))
     with pytest.raises(ValueError):
         sequence_distance((1, 2), (1, 1))
+    # every entry point shares one node check
+    for seq in ((3, 3, 1, 1), (1, 1, 1, 1), (1, 1, 1), (1, 2), (2,), ()):
+        for call in (
+            sequence_neighbors,
+            lambda s: sequence_distance(s, (1, 1)),
+            lambda s: graph.distance_matrix([s], [(1, 1)]),
+        ):
+            with pytest.raises(ValueError):
+                call(seq)
 
 
 def test_distance_matrix_matches_pairwise():
@@ -217,6 +249,10 @@ def test_pattern_distribution_validation():
         PatternDistribution(((1, 1), (2, 1, 1)), np.array([1.5, -0.5]))
     with pytest.raises(ValueError):
         PatternDistribution(((1, 1),), np.array([[1.0]]))
+    # NaN passes both a "< 0" test and a sum test, so finiteness is checked
+    for bad in ([np.nan], [np.inf], [1.0, np.nan], [np.inf, -np.inf]):
+        with pytest.raises(ValueError):
+            PatternDistribution(((1, 1), (2, 1, 1))[: len(bad)], np.array(bad))
 
 
 def test_wasserstein_identity_and_point_masses():

@@ -61,3 +61,20 @@ def test_only_lines_reads_and_writes_csv():
         or (isinstance(node, ast.ImportFrom) and node.module == "csv")
     )
     assert importers == ["lines.py"]
+
+
+def test_every_open_names_utf8_or_binary():
+    # text files are UTF-8 whatever the locale's default encoding
+    package = Path(gridpatterns.__file__).resolve().parent
+    loose = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            func = getattr(node, "func", None)
+            if getattr(func, "id", getattr(func, "attr", None)) != "open":
+                continue
+            options = [*node.args, *(kw.value for kw in node.keywords if kw.arg == "mode")]
+            binary = any(isinstance(arg, ast.Constant) and "b" in str(arg.value) for arg in options[1:])
+            utf8 = any(kw.arg == "encoding" and getattr(kw.value, "value", None) == "utf-8" for kw in node.keywords)
+            if not (binary or utf8):
+                loose.append(f"{path.name}:{node.lineno}")
+    assert loose == []

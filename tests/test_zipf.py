@@ -141,6 +141,13 @@ def test_model_rejects_bad_exponent():
             ZipfModel(bad)
 
 
+def test_model_computes_its_normalizer():
+    # zeta_s is derived from s, so passing one raises instead of being ignored
+    assert ZipfModel(4.1).zeta_s == zeta(4.1)
+    with pytest.raises(TypeError):
+        ZipfModel(4.1, zeta_s=1.0)
+
+
 def test_p_large_frozen_values():
     assert ZipfModel(4.1).p_large(4) == pytest.approx(P_LARGE_41, abs=1e-12)
     assert ZipfModel(3.8).p_large(4) == pytest.approx(P_LARGE_38, abs=1e-12)
