@@ -20,11 +20,15 @@ is the package's own (``rng``).  Its first two draws, the seed line and the
 target, are computed for a block of 1024 streams at once as uint64 array
 arithmetic (:meth:`_Sampler.head`); growth and the circuit draws then go on
 from there on the pattern's :class:`rng.Stream`.  Calibration keeps the
-streams of just the patterns with target 3 or more.
+streams of just the patterns with target 3 or more, and with each grown
+pattern the interval of ``p_one_plus`` on which its draws fall the same
+way; an iterate regrows only the patterns whose intervals miss its
+parameter.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
@@ -175,7 +179,7 @@ class _Head:
         return [Stream(a << 64 | b, c << 64 | d, half) for a, b, c, d, half in zip(s_hi, s_lo, i_hi, i_lo, halves)]
 
 
-def _grow(network: Network, first: Line, target: int, p_one_plus: float, rng: Stream) -> set[Line]:
+def _grow(network: Network, first: Line, target: int, p_one_plus: float, rng: Stream) -> tuple[set[Line], float, float]:
     """Grow a connected line set from ``first`` toward ``target`` lines.
 
     A candidate is a network line outside the pattern that touches it.  It
@@ -187,13 +191,20 @@ def _grow(network: Network, first: Line, target: int, p_one_plus: float, rng: St
     degree goes from 0 to 1 or from 1 to 2 change sides, so a step costs
     about the degree of its two buses plus a sorted insert or delete each.
 
-    Draws ``rng.random() < p_one_plus`` only when both sides are non-empty,
-    then a uniform index into the chosen side.  Stops early only if both
-    sides are empty, which on a connected network means the pattern already
-    covers every line.
+    Draws ``u = rng.random()`` only when both sides are non-empty, takes the
+    degree-1 side when ``u < p_one_plus``, then draws a uniform index into
+    the chosen side.  Stops early only if both sides are empty, which on a
+    connected network means the pattern already covers every line.
+
+    Returns the grown lines and the interval ``(lo, hi]`` of parameters that
+    grow them the same way: ``lo`` is the largest ``u`` that chose side 1 and
+    ``hi`` the smallest that chose side 2 (-inf and +inf when there are
+    none).  For every ``p`` in it each comparison comes out the same, so the
+    draws, the lines and the stream's final state are those at
+    ``p_one_plus``.
     """
     if target <= 1:
-        return {first}
+        return {first}, -math.inf, math.inf
     lines = network.lines
     incident = network.incident_ids
     grown: set[int] = set()
@@ -205,6 +216,7 @@ def _grow(network: Network, first: Line, target: int, p_one_plus: float, rng: St
     side1: list[int] = []
     side2: list[int] = []
     line_id = network.line_ids[first]
+    lo, hi = -math.inf, math.inf
     while True:
         grown.add(line_id)
         if len(grown) >= target:
@@ -234,7 +246,15 @@ def _grow(network: Network, first: Line, target: int, p_one_plus: float, rng: St
                             on_side2.add(other)
                             insort(side2, other)
         if side1 and side2:
-            side = side1 if rng.random() < p_one_plus else side2
+            u = rng.random()
+            if u < p_one_plus:
+                side = side1
+                if u > lo:
+                    lo = u
+            else:
+                side = side2
+                if u < hi:
+                    hi = u
         elif side1:
             side = side1
         elif side2:
@@ -242,7 +262,7 @@ def _grow(network: Network, first: Line, target: int, p_one_plus: float, rng: St
         else:
             break
         line_id = side[int(rng.integers(len(side)))]
-    return {lines[i] for i in grown}
+    return {lines[i] for i in grown}, lo, hi
 
 
 def _with_circuits(sampler: _Sampler, lines: set[Line], target: int, rng: Stream) -> GeneratedPattern:
@@ -266,7 +286,7 @@ def _ensemble_chunk(network: Network, config: GeneratorConfig, start: int, stop:
     out = []
     for head in sampler.heads(start, stop):
         for line_id, target, rng in zip(head.line_ids.tolist(), head.targets.tolist(), head.streams()):
-            lines = _grow(network, network.lines[line_id], target, config.p_one_plus, rng)
+            lines, _, _ = _grow(network, network.lines[line_id], target, config.p_one_plus, rng)
             out.append(_with_circuits(sampler, lines, target, rng))
     return out
 
@@ -292,13 +312,14 @@ def generate_ensemble(
 
 @dataclass(frozen=True)
 class CalibrationStep:
-    """One evaluation of the generated branching probability."""
+    """One evaluation of the generated branching probability; ``regrown`` counts the patterns it grew anew."""
 
     index: int
     p_one_plus: float
     generated_value: float
     low: float
     high: float
+    regrown: int
 
 
 @dataclass(frozen=True)
@@ -337,16 +358,22 @@ def _seed_chunk(network: Network, config: GeneratorConfig, start: int, stop: int
     return small, seeds
 
 
-def _grown_counts(network: Network, p_one_plus: float, seeds: list[_Seed]) -> Counter[DegreeSequence]:
-    """Degree-sequence counts of the seeded patterns, each grown at ``p_one_plus`` from a copy of its stream."""
-    grown = (_grow(network, first, target, p_one_plus, stream.copy()) for first, target, stream in seeds)
-    return Counter(map(degree_sequence, grown))
+_Grown = tuple[float, float, DegreeSequence]
+
+
+def _regrow(network: Network, p_one_plus: float, seeds: list[_Seed]) -> list[_Grown]:
+    """Each seeded pattern grown at ``p_one_plus`` from a copy of its stream, as ``(lo, hi, degree sequence)``."""
+    out = []
+    for first, target, stream in seeds:
+        lines, lo, hi = _grow(network, first, target, p_one_plus, stream.copy())
+        out.append((lo, hi, degree_sequence(lines)))
+    return out
 
 
 def _ensemble_counts(network: Network, config: GeneratorConfig, count: int) -> Counter[DegreeSequence]:
     """Positive degree-sequence counts of :func:`generate_ensemble`'s patterns; circuits change none, so none is drawn."""
     small, seeds = _seed_chunk(network, config, 0, count)
-    return small + _grown_counts(network, config.p_one_plus, seeds)
+    return small + Counter(seq for _, _, seq in _regrow(network, config.p_one_plus, seeds))
 
 
 def calibrate_p_one_plus(
@@ -368,8 +395,12 @@ def calibrate_p_one_plus(
     bisection is not chasing sampling noise.  With these common random
     numbers only patterns of target size 3 or more depend on the parameter
     or count in the estimator: their seed lines, targets and streams are
-    drawn once, and each iterate regrows only those patterns, each from a
-    copy of its cached stream.
+    drawn once.  Each growth of such a pattern, from a copy of its cached
+    stream, is kept with the interval of parameters that grow it the same
+    way (:func:`_grow`), and an iterate regrows only the patterns for which
+    no kept interval holds its parameter; the rest are reused exactly.
+    Bisection stops unconverged once the midpoint rounds to an end of its
+    bracket.
 
     Raises ValueError for a target outside [0, 1], an ensemble_size or
     max_iterations below 1, or a tolerance that is negative or NaN.  Raises
@@ -388,29 +419,45 @@ def calibrate_p_one_plus(
     processes = pool_size(workers, ensemble_size)
     tasks = [(network, config, lo, hi) for lo, hi in index_chunks(ensemble_size, processes)]
     with process_pool(processes) as pool:
-        seeds = [part for _, part in run_all(pool, _seed_chunk, tasks) if part]
+        seeds = [seed for _, part in run_all(pool, _seed_chunk, tasks) for seed in part]
+        # per seed, one (lo, hi, sequence) per growth path met so far; paths
+        # that differ have disjoint intervals, so at most one holds any p
+        grown: list[list[_Grown]] = [[] for _ in seeds]
 
-        def measure(p: float) -> float:
-            counts = sum(run_all(pool, _grown_counts, [(network, p, part) for part in seeds]), Counter())
-            numerator, denominator = _branching_sums(counts)
+        def measure(p: float) -> tuple[float, int]:
+            found = [next((seq for lo, hi, seq in entries if lo < p <= hi), None) for entries in grown]
+            misses = [i for i, seq in enumerate(found) if seq is None]
+            chunks = index_chunks(len(misses), processes)
+            parts = run_all(pool, _regrow, [(network, p, [seeds[i] for i in misses[a:b]]) for a, b in chunks])
+            for i, entry in zip(misses, (entry for part in parts for entry in part)):
+                grown[i].append(entry)
+                found[i] = entry[2]
+            numerator, denominator = _branching_sums(Counter(found))
             if denominator == 0:
                 raise CalibrationError(
                     "no generated pattern had 3 or more lines; the network or "
                     "size model cannot express the branching statistic",
                     target=target,
                 )
-            return numerator / denominator
+            return numerator / denominator, len(misses)
 
         return _bisect(measure, target, tolerance, max_iterations)
 
 
-def _bisect(measure: Callable[[float], float], target: float, tolerance: float, max_iterations: int) -> CalibrationResult:
-    """Bisect [0, 1] for a p with measure(p) within tolerance of target, recording every evaluation."""
+def _bisect(
+    measure: Callable[[float], tuple[float, int]], target: float, tolerance: float, max_iterations: int
+) -> CalibrationResult:
+    """Bisect [0, 1] for a p with measure(p) within tolerance of target, recording every evaluation.
+
+    ``measure`` returns the value at p and the number of patterns it
+    regrew.  Stops unconverged, at the last evaluation, once the midpoint
+    rounds to an end of the bracket: that p has been measured already.
+    """
     steps: list[CalibrationStep] = []
 
     def evaluate(p: float, low: float, high: float) -> float:
-        value = measure(p)
-        steps.append(CalibrationStep(len(steps), p, value, low, high))
+        value, regrown = measure(p)
+        steps.append(CalibrationStep(len(steps), p, value, low, high, regrown))
         return value
 
     def result(p: float, value: float, converged: bool) -> CalibrationResult:
@@ -434,6 +481,8 @@ def _bisect(measure: Callable[[float], float], target: float, tolerance: float, 
     low, high = 0.0, 1.0
     for _ in range(max_iterations):
         mid = 0.5 * (low + high)
+        if mid in (low, high):
+            break
         g_mid = evaluate(mid, low, high)
         if abs(g_mid - target) <= tolerance:
             return result(mid, g_mid, True)
@@ -441,7 +490,7 @@ def _bisect(measure: Callable[[float], float], target: float, tolerance: float, 
             low = mid
         else:
             high = mid
-    return result(mid, g_mid, False)
+    return result(steps[-1].p_one_plus, steps[-1].generated_value, False)
 
 
 def format_calibration_trace(calibration: CalibrationResult) -> str:

@@ -25,7 +25,9 @@ def pool_size(requested: int, tasks: int) -> int:
 
 
 def index_chunks(count: int, processes: int) -> list[tuple[int, int]]:
-    """Split range(count) into one chunk, or about four per process."""
+    """Split range(count) into one chunk, or about four per process; none for a count of 0."""
+    if count == 0:
+        return []
     if processes == 1:
         return [(0, count)]
     size = -(-count // (processes * 4))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from collections import Counter, deque
 from dataclasses import replace
 
@@ -21,6 +22,7 @@ from gridpatterns.generator import (
     _ensemble_counts,
     _grow,
     _Sampler,
+    _seed_chunk,
     calibrate_p_one_plus,
     format_calibration_trace,
     format_generated_pattern,
@@ -104,16 +106,16 @@ def test_single_line_network_always_single_line_patterns():
 
 def test_grow_along_forced_path(path4):
     # only degree-1 attachments exist on a path, so growth is forced
-    lines = _grow(path4, ("A", "B"), 3, 0.0, _stream(3))
+    lines, _, _ = _grow(path4, ("A", "B"), 3, 0.0, _stream(3))
     assert lines == {("A", "B"), ("B", "C"), ("C", "D")}
-    lines = _grow(path4, ("B", "C"), 2, 0.7, _stream(4))
+    lines, _, _ = _grow(path4, ("B", "C"), 2, 0.7, _stream(4))
     assert lines in ({("A", "B"), ("B", "C")}, {("B", "C"), ("C", "D")})
 
 
 def test_grow_respects_target(mesh480):
     rng = _stream(9)
     for target in (1, 2, 5, 12):
-        lines = _grow(mesh480, mesh480.lines[0], target, 0.4, rng)
+        lines, _, _ = _grow(mesh480, mesh480.lines[0], target, 0.4, rng)
         assert len(lines) == target
         assert _connected(lines)
 
@@ -146,10 +148,32 @@ def test_grow_matches_rebuild_oracle_draw_for_draw(name, request):
     for case, (first, target) in enumerate(_grow_cases(network, substream(97))):
         for p_one_plus in (0.0, 0.3, 1.0):
             mine, reference = _stream(5, case), substream(5, case)
-            grown = _grow(network, first, target, p_one_plus, mine)
+            grown, _, _ = _grow(network, first, target, p_one_plus, mine)
             assert grown == grow_oracle.grow(network, first, target, p_one_plus, reference)
             assert _state_of(mine) == generator_state(reference)
             assert len(grown) == min(target, network.n_lines)
+
+
+def test_grow_interval_holds_exactly_the_parameters_that_grow_alike(mesh480):
+    # every p in (lo, hi] makes the same side choices, so the same draws, the
+    # same lines and the same final stream; just outside, one choice flips
+    config = _config(2.5, 0.3, seed=41)
+    _, seeds = _seed_chunk(mesh480, config, 0, 400)
+    assert len(seeds) > 40
+    bounded = 0
+    for first, target, stream in seeds:
+        at_p = stream.copy()
+        lines, lo, hi = _grow(mesh480, first, target, 0.3, at_p)
+        assert lo < 0.3 <= hi
+        inside = {hi, math.nextafter(lo, math.inf), 0.5 * (max(lo, 0.0) + min(hi, 1.0))} - {math.inf}
+        for p in inside:
+            again = stream.copy()
+            assert _grow(mesh480, first, target, p, again) == (lines, lo, hi)
+            assert _state_of(again) == _state_of(at_p)
+        for p in {lo, math.nextafter(hi, math.inf)} - {-math.inf, math.inf}:
+            bounded += 1
+            assert _grow(mesh480, first, target, p, stream.copy())[1:] != (lo, hi)
+    assert bounded > 40
 
 
 _PINNED_ENSEMBLES = [
@@ -198,10 +222,38 @@ _PINNED_CALIBRATION = (
 )
 
 
+# the patterns each step of _pinned_calibration regrew: all 281 seeded
+# patterns at p = 0 and 1, then only those whose kept intervals miss p
+_PINNED_REGROWN = (281, 281, 92, 51, 27, 12, 7, 1, 0)
+
+
 def test_calibration_is_pinned(mesh480):
     result = _pinned_calibration(mesh480)
     assert tuple(step.generated_value for step in result.steps) == _PINNED_CALIBRATION
     assert (result.p_one_plus, result.converged) == (0.2578125, True)
+    assert tuple(step.regrown for step in result.steps) == _PINNED_REGROWN
+
+
+def test_calibration_regrows_only_patterns_whose_intervals_miss(mesh480):
+    config = _config(3.0, 0.5, p_circuits=0.2, seed=29)
+    seeded = len(_seed_chunk(mesh480, config, 0, 4000)[1])
+    result = _pinned_calibration(mesh480)
+    assert result.steps[0].regrown == seeded
+    assert sum(step.regrown for step in result.steps) < len(result.steps) * seeded
+    parallel = calibrate_p_one_plus(mesh480, config, 0.4, ensemble_size=4000, tolerance=0.001, workers=2)
+    assert parallel == result
+
+
+def test_bisection_never_measures_a_parameter_twice():
+    # at tolerance 0 the bracket shrinks to adjacent doubles around a jump of
+    # the generated value; once the midpoint rounds to an end, stop there
+    network = synthetic_network("grid-mesh", 300, seed=3)
+    config = _config(3.0, 0.5, seed=7)
+    result = calibrate_p_one_plus(network, config, 0.4, ensemble_size=2000, tolerance=0.0, max_iterations=120)
+    p_values = [step.p_one_plus for step in result.steps]
+    assert len(set(p_values)) == len(p_values) < 122
+    assert not result.converged
+    assert (result.p_one_plus, result.generated_value) == (p_values[-1], result.steps[-1].generated_value)
 
 
 @pytest.mark.parametrize("case", ["mesh300", "mesh480-weighted", "mesh480-s2.5", "one-line", "two-line"])
@@ -534,7 +586,7 @@ def test_calibration_with_uniform_seed_lines_matches_full_regeneration(mesh480):
 
 
 def test_saturation_on_small_network(path3):
-    lines = _grow(path3, ("A", "B"), 10, 0.5, _stream(1))
+    lines, _, _ = _grow(path3, ("A", "B"), 10, 0.5, _stream(1))
     assert lines == {("A", "B"), ("B", "C")}
     gp = GeneratedPattern(Pattern(frozenset(lines)), frozenset(), 10, 2)
     assert gp.saturated

@@ -33,3 +33,8 @@ def test_index_chunks_cover_the_range_in_order(count, processes):
     assert all(lo < hi for lo, hi in chunks)
     assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
     assert len(chunks) <= max(1, 4 * processes)
+
+
+@pytest.mark.parametrize("processes", [1, 2, 5])
+def test_index_chunks_of_nothing_is_no_chunk(processes):
+    assert index_chunks(0, processes) == []
