@@ -19,7 +19,8 @@ arguments (such as ``--threads`` below 1, a negative ``--seed`` or
 ``--history-count``, ``fit`` given only one of ``--generations`` and
 ``--network``, or a calibration ensemble size or iteration count
 below 1 or a negative or NaN tolerance); 3 for empty or degenerate data; 4
-for calibration failure; 5 for any other error this package raises.
+for calibration failure; 5 for any other error this package raises; 6 when
+the machine runs out of memory (say for ``synth --lines`` 10**12).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ EXIT_CODES = (
     (CalibrationError, 4),
     (DegenerateDataError, 3),
     (GridPatternsError, 5),
+    (MemoryError, 6),
 )
 FILE_OPTIONS = ("outages", "aliases", "exclusions", "generations", "network", "patterns")
 NOT_PARAMETERS = ("command", "func", "threads", "out", *FILE_OPTIONS)
@@ -182,7 +184,6 @@ def cmd_calibrate(args, out: Path) -> list[Path]:
         ensemble_size=args.ensemble_size,
         tolerance=args.tolerance,
         max_iterations=args.max_iterations,
-        workers=args.threads,
     )
     trace_path = out / "calibration_trace.txt"
     json_path = out / "calibration.json"
@@ -204,7 +205,7 @@ def cmd_calibrate(args, out: Path) -> list[Path]:
 
 def cmd_generate(args, out: Path) -> list[Path]:
     net = network_mod.read_network_csv(args.network)
-    ensemble = generator.generate_ensemble(net, _config(args, args.p_one_plus, args.seed), args.count, workers=args.threads)
+    ensemble = generator.generate_ensemble(net, _config(args, args.p_one_plus, args.seed), args.count)
     patterns_path = out / "generated_patterns.txt"
     generator.write_generated_patterns(patterns_path, ensemble)
     print(f"generated: {len(ensemble)}")
@@ -244,7 +245,7 @@ def cmd_synth(args, out: Path) -> list[Path]:
     outputs = [out / "network.csv"]
     network_mod.write_network_csv(out / "network.csv", net)
     if config is not None:
-        records, _ = synthnet.synthetic_history(net, config, args.history_count, workers=args.threads)
+        records, _ = synthnet.synthetic_history(net, config, args.history_count)
         ingest.write_outage_csv(out / "outages.csv", records)
         outputs.append(out / "outages.csv")
     print(f"network_buses: {net.n_buses}")
@@ -263,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="worker processes, at least 1 (default 1); never more than the usable CPUs or the tasks",
+        help="worker processes for evaluate's repetitions, at least 1 (default 1); never more than the "
+        "usable CPUs or the repetitions; the other commands run in one process",
     )
     common.add_argument("--out", default=".", help="output directory (default current)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -335,8 +337,8 @@ def main(argv=None) -> int:
         outputs = args.func(args, out)
         _write_json(out / "manifest.json", _manifest(args, outputs))
         return 0
-    except (OSError, ValueError, GridPatternsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, GridPatternsError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return next(code for types, code in EXIT_CODES if isinstance(exc, types))
 
 

@@ -39,7 +39,6 @@ import numpy as np
 from .errors import CalibrationError
 from .lines import Line, format_line
 from .network import Network
-from .parallel import index_chunks, pool_size, process_pool, run_all
 from .patterns import (
     DegreeSequence,
     Pattern,
@@ -281,33 +280,17 @@ def _with_circuits(sampler: _Sampler, lines: set[Line], target: int, rng: Stream
     )
 
 
-def _ensemble_chunk(network: Network, config: GeneratorConfig, start: int, stop: int) -> list[GeneratedPattern]:
+def generate_ensemble(network: Network, config: GeneratorConfig, count: int) -> list[GeneratedPattern]:
+    """Generate ``count`` patterns in one process, pattern i drawn from stream (seed, i) alone."""
+    if count < 0:
+        raise ValueError("count must be nonnegative")
     sampler = _Sampler(network, config)
     out = []
-    for head in sampler.heads(start, stop):
+    for head in sampler.heads(0, count):
         for line_id, target, rng in zip(head.line_ids.tolist(), head.targets.tolist(), head.streams()):
             lines, _, _ = _grow(network, network.lines[line_id], target, config.p_one_plus, rng)
             out.append(_with_circuits(sampler, lines, target, rng))
     return out
-
-
-def generate_ensemble(
-    network: Network, config: GeneratorConfig, count: int, workers: int = 1
-) -> list[GeneratedPattern]:
-    """Generate ``count`` patterns, pattern i drawn from stream (seed, i).
-
-    The per-pattern streams make the result identical for any ``workers``
-    value; workers only change how the index range is divided.
-    """
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    if count == 0:
-        return []
-    processes = pool_size(workers, count)
-    tasks = [(network, config, lo, hi) for lo, hi in index_chunks(count, processes)]
-    with process_pool(processes) as pool:
-        parts = run_all(pool, _ensemble_chunk, tasks)
-    return [generated for part in parts for generated in part]
 
 
 @dataclass(frozen=True)
@@ -337,8 +320,8 @@ class CalibrationResult:
 _Seed = tuple[Line, int, Stream]
 
 
-def _seed_chunk(network: Network, config: GeneratorConfig, start: int, stop: int) -> tuple[Counter, list[_Seed]]:
-    """Patterns in [start, stop): the degree-sequence counts of those with target 1 or 2, and the seeds of the rest.
+def _seeds(network: Network, config: GeneratorConfig, count: int) -> tuple[Counter, list[_Seed]]:
+    """The first ``count`` patterns: the degree-sequence counts of those with target 1 or 2, and the seeds of the rest.
 
     Targets 1 and 2 never draw against p_one_plus or count in the branching
     estimator, and they give ``(1, 1)`` and ``(2, 1, 1)``: growth on a
@@ -349,7 +332,7 @@ def _seed_chunk(network: Network, config: GeneratorConfig, start: int, stop: int
     sampler = _Sampler(network, config)
     small: Counter[DegreeSequence] = Counter()
     seeds = []
-    for head in sampler.heads(start, stop):
+    for head in sampler.heads(0, count):
         small[(1, 1)] += int(np.count_nonzero(head.targets == 1))
         small[(2, 1, 1)] += int(np.count_nonzero(head.targets == 2))
         keep = np.flatnonzero(head.targets >= 3)
@@ -372,7 +355,7 @@ def _regrow(network: Network, p_one_plus: float, seeds: list[_Seed]) -> list[_Gr
 
 def _ensemble_counts(network: Network, config: GeneratorConfig, count: int) -> Counter[DegreeSequence]:
     """Positive degree-sequence counts of :func:`generate_ensemble`'s patterns; circuits change none, so none is drawn."""
-    small, seeds = _seed_chunk(network, config, 0, count)
+    small, seeds = _seeds(network, config, count)
     return small + Counter(seq for _, _, seq in _regrow(network, config.p_one_plus, seeds))
 
 
@@ -384,7 +367,6 @@ def calibrate_p_one_plus(
     ensemble_size: int = 1_000_000,
     tolerance: float = 0.005,
     max_iterations: int = 20,
-    workers: int = 1,
 ) -> CalibrationResult:
     """Find the ``p_one_plus`` whose generated value matches the target.
 
@@ -416,32 +398,27 @@ def calibrate_p_one_plus(
         raise ValueError(f"tolerance must be nonnegative, got {tolerance}")
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
-    processes = pool_size(workers, ensemble_size)
-    tasks = [(network, config, lo, hi) for lo, hi in index_chunks(ensemble_size, processes)]
-    with process_pool(processes) as pool:
-        seeds = [seed for _, part in run_all(pool, _seed_chunk, tasks) for seed in part]
-        # per seed, one (lo, hi, sequence) per growth path met so far; paths
-        # that differ have disjoint intervals, so at most one holds any p
-        grown: list[list[_Grown]] = [[] for _ in seeds]
+    _, seeds = _seeds(network, config, ensemble_size)
+    # per seed, one (lo, hi, sequence) per growth path met so far; paths
+    # that differ have disjoint intervals, so at most one holds any p
+    grown: list[list[_Grown]] = [[] for _ in seeds]
 
-        def measure(p: float) -> tuple[float, int]:
-            found = [next((seq for lo, hi, seq in entries if lo < p <= hi), None) for entries in grown]
-            misses = [i for i, seq in enumerate(found) if seq is None]
-            chunks = index_chunks(len(misses), processes)
-            parts = run_all(pool, _regrow, [(network, p, [seeds[i] for i in misses[a:b]]) for a, b in chunks])
-            for i, entry in zip(misses, (entry for part in parts for entry in part)):
-                grown[i].append(entry)
-                found[i] = entry[2]
-            numerator, denominator = _branching_sums(Counter(found))
-            if denominator == 0:
-                raise CalibrationError(
-                    "no generated pattern had 3 or more lines; the network or "
-                    "size model cannot express the branching statistic",
-                    target=target,
-                )
-            return numerator / denominator, len(misses)
+    def measure(p: float) -> tuple[float, int]:
+        found = [next((seq for lo, hi, seq in entries if lo < p <= hi), None) for entries in grown]
+        misses = [i for i, seq in enumerate(found) if seq is None]
+        for i, entry in zip(misses, _regrow(network, p, [seeds[i] for i in misses])):
+            grown[i].append(entry)
+            found[i] = entry[2]
+        numerator, denominator = _branching_sums(Counter(found))
+        if denominator == 0:
+            raise CalibrationError(
+                "no generated pattern had 3 or more lines; the network or "
+                "size model cannot express the branching statistic",
+                target=target,
+            )
+        return numerator / denominator, len(misses)
 
-        return _bisect(measure, target, tolerance, max_iterations)
+    return _bisect(measure, target, tolerance, max_iterations)
 
 
 def _bisect(

@@ -1,16 +1,15 @@
-"""Process pools bounded by the CPUs available and by the work to do.
+"""The process pool of ``evaluation.evaluate_model``, one whole repetition per task.
 
 The pool size is clamped before a pool exists, so a large ``--threads``
 never starts more processes than there are CPUs or tasks.  Workers are
 spawned, not forked: forking a process that already runs threads (numpy's
-among them) can deadlock the child.  Work is split by index range and
-results come back in index order, so they do not depend on the pool size.
+among them) can deadlock the child.  Results come back in task order, so
+they do not depend on the pool size.
 """
 
 from __future__ import annotations
 
 import contextlib
-import itertools
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -22,16 +21,6 @@ def pool_size(requested: int, tasks: int) -> int:
         raise ValueError(f"worker count must be at least 1, got {requested}")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return max(1, min(requested, cpus, tasks))
-
-
-def index_chunks(count: int, processes: int) -> list[tuple[int, int]]:
-    """Split range(count) into one chunk, or about four per process; none for a count of 0."""
-    if count == 0:
-        return []
-    if processes == 1:
-        return [(0, count)]
-    size = -(-count // (processes * 4))
-    return list(itertools.pairwise([*range(0, count, size), count]))
 
 
 def process_pool(processes: int):

@@ -166,24 +166,19 @@ def synthetic_network(
 
 
 def synthetic_history(
-    network: Network,
-    config: GeneratorConfig,
-    count: int,
-    start_minute: datetime | None = None,
-    workers: int = 1,
+    network: Network, config: GeneratorConfig, count: int
 ) -> tuple[list[OutageRecord], list[GeneratedPattern]]:
     """Generate an ensemble and lay it out as an outage history.
 
-    Pattern i occupies its own minute starting at ``start_minute``; every
+    Pattern i occupies minute i counted from 2020-01-01 00:00; every
     pattern line contributes a circuit-1 outage row and every extra circuit
     a circuit-2 row.  Returns the records together with the ground-truth
     ensemble they encode.
     """
-    start = start_minute if start_minute is not None else datetime(2020, 1, 1, 0, 0)
-    ensemble = generate_ensemble(network, config, count, workers)
+    ensemble = generate_ensemble(network, config, count)
     records: list[OutageRecord] = []
     for i, gp in enumerate(ensemble):
-        minute = start + timedelta(minutes=i)
+        minute = datetime(2020, 1, 1) + timedelta(minutes=i)
         for line in sorted(gp.pattern.lines):
             records.append(OutageRecord(minute, line[0], line[1], "1"))
             if line in gp.extra_circuits:

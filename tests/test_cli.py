@@ -320,6 +320,34 @@ def test_other_package_error_exit_5(pipeline, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == "error: unexpected package failure\n"
 
 
+@pytest.mark.parametrize("flag", ["--lines", "--history-count", "--repetitions"])
+@pytest.mark.parametrize("message", ["", "Unable to allocate 7.28 TiB for an array"], ids=["bare", "numpy"])
+def test_memory_error_exit_6(pipeline, tmp_path, monkeypatch, capsys, flag, message):
+    # a size the machine cannot hold ends in a documented exit code, not a
+    # traceback; the library call is replaced, so no memory is asked for
+    def failing(*args, **kwargs):
+        raise MemoryError(message)
+
+    model = ("--s", 4.0, "--p-one-plus", 0.3)
+    module, name, argv = {
+        "--lines": (cli.synthnet, "synthetic_network", ("synth", "--kind", "grid-mesh", "--lines", 10**12)),
+        "--history-count": (
+            cli.synthnet, "synthetic_history",
+            ("synth", "--kind", "grid-mesh", "--lines", 20, "--history-count", 10**12, *model),
+        ),
+        "--repetitions": (
+            cli.evaluation, "evaluate_model",
+            (
+                "evaluate", "--network", pipeline["ingest"] / "network.csv",
+                "--patterns", pipeline["extract"] / "patterns.txt", "--repetitions", 10**12, *model,
+            ),
+        ),
+    }[flag]
+    monkeypatch.setattr(module, name, failing)
+    assert _run(*argv, "--out", tmp_path) == 6
+    assert capsys.readouterr().err == f"error: {message or 'MemoryError'}\n"
+
+
 def test_calibrate_unreachable_target_exit_4(tmp_path, path4):
     network_path = tmp_path / "network.csv"
     write_network_csv(network_path, path4)

@@ -22,7 +22,7 @@ from gridpatterns.generator import (
     _ensemble_counts,
     _grow,
     _Sampler,
-    _seed_chunk,
+    _seeds,
     calibrate_p_one_plus,
     format_calibration_trace,
     format_generated_pattern,
@@ -158,7 +158,7 @@ def test_grow_interval_holds_exactly_the_parameters_that_grow_alike(mesh480):
     # every p in (lo, hi] makes the same side choices, so the same draws, the
     # same lines and the same final stream; just outside, one choice flips
     config = _config(2.5, 0.3, seed=41)
-    _, seeds = _seed_chunk(mesh480, config, 0, 400)
+    _, seeds = _seeds(mesh480, config, 400)
     assert len(seeds) > 40
     bounded = 0
     for first, target, stream in seeds:
@@ -191,7 +191,7 @@ def _pinned_case(case: str, mesh480: Network) -> tuple[Network, GeneratorConfig]
 
 def _ensemble_digest(tmp_path, network: Network, config: GeneratorConfig) -> str:
     path = tmp_path / "generated.txt"
-    write_generated_patterns(path, generate_ensemble(network, config, 2000, workers=1))
+    write_generated_patterns(path, generate_ensemble(network, config, 2000))
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
@@ -204,7 +204,7 @@ def test_generated_ensemble_bytes_are_pinned(tmp_path, mesh480, case, digest):
 
 def _pinned_calibration(mesh480: Network) -> CalibrationResult:
     config = _config(3.0, 0.5, p_circuits=0.2, seed=29)
-    return calibrate_p_one_plus(mesh480, config, 0.4, ensemble_size=4000, tolerance=0.001, workers=1)
+    return calibrate_p_one_plus(mesh480, config, 0.4, ensemble_size=4000, tolerance=0.001)
 
 
 # the generated value of every step of _pinned_calibration, uniform seed
@@ -236,12 +236,10 @@ def test_calibration_is_pinned(mesh480):
 
 def test_calibration_regrows_only_patterns_whose_intervals_miss(mesh480):
     config = _config(3.0, 0.5, p_circuits=0.2, seed=29)
-    seeded = len(_seed_chunk(mesh480, config, 0, 4000)[1])
+    seeded = len(_seeds(mesh480, config, 4000)[1])
     result = _pinned_calibration(mesh480)
     assert result.steps[0].regrown == seeded
     assert sum(step.regrown for step in result.steps) < len(result.steps) * seeded
-    parallel = calibrate_p_one_plus(mesh480, config, 0.4, ensemble_size=4000, tolerance=0.001, workers=2)
-    assert parallel == result
 
 
 def test_bisection_never_measures_a_parameter_twice():
@@ -396,13 +394,6 @@ def test_same_seed_reproducible(mesh480):
     assert generate_ensemble(mesh480, config, 50) == generate_ensemble(mesh480, config, 50)
     changed = generate_ensemble(mesh480, _config(3.0, 0.4, p_circuits=0.3, seed=22), 50)
     assert changed != generate_ensemble(mesh480, config, 50)
-
-
-def test_workers_do_not_change_results(mesh480):
-    config = _config(2.5, 0.6, p_circuits=0.2, seed=13)
-    serial = generate_ensemble(mesh480, config, 42, workers=1)
-    parallel = generate_ensemble(mesh480, config, 42, workers=3)
-    assert serial == parallel
 
 
 def test_ensemble_count_validation(path3):
@@ -571,7 +562,6 @@ def test_calibration_matches_full_regeneration_at_every_step(mesh480):
     for step in result.steps:
         ensemble = generate_ensemble(mesh480, replace(config, p_one_plus=step.p_one_plus), size)
         assert step.generated_value == p_one_plus_observed(ensemble)
-    assert calibrate_p_one_plus(mesh480, config, 0.5, workers=2, **options) == result
 
 
 def test_calibration_with_uniform_seed_lines_matches_full_regeneration(mesh480):

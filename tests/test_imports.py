@@ -50,17 +50,34 @@ def test_no_unused_imports():
     assert unused == {}
 
 
+def _importers(*modules: str) -> list[str]:
+    """Modules of the package that import one of ``modules`` or a submodule or name of one."""
+    found = set()
+    for path in Path(gridpatterns.__file__).resolve().parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                # relative imports resolve inside the package
+                base = ".".join(filter(None, ["gridpatterns" if node.level else "", node.module]))
+                names = [f"{base}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(name == m or name.startswith(m + ".") for name in names for m in modules):
+                found.add(path.name)
+    return sorted(found)
+
+
 def test_only_lines_reads_and_writes_csv():
     # every table goes through lines.read_table and lines.write_table
-    package = Path(gridpatterns.__file__).resolve().parent
-    importers = sorted(
-        path.name
-        for path in package.glob("*.py")
-        for node in ast.walk(ast.parse(path.read_text()))
-        if (isinstance(node, ast.Import) and any(alias.name == "csv" for alias in node.names))
-        or (isinstance(node, ast.ImportFrom) and node.module == "csv")
-    )
-    assert importers == ["lines.py"]
+    assert _importers("csv") == ["lines.py"]
+
+
+def test_only_evaluation_starts_a_pool():
+    # generation, calibration and synth run in one process: only evaluate's
+    # whole repetitions pay for a worker, and only parallel.py makes one
+    assert _importers("gridpatterns.parallel") == ["evaluation.py"]
+    assert _importers("concurrent.futures", "multiprocessing") == ["parallel.py"]
 
 
 def test_every_open_names_utf8_or_binary():

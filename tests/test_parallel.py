@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from gridpatterns.parallel import index_chunks, pool_size
+from gridpatterns.parallel import pool_size
 
 CPUS = len(os.sched_getaffinity(0))
 
@@ -23,18 +23,3 @@ def test_pool_size_clamps_to_cpus_and_tasks():
 def test_pool_size_rejects_fewer_than_one(requested):
     with pytest.raises(ValueError):
         pool_size(requested, 10)
-
-
-@pytest.mark.parametrize("count, processes", [(1, 1), (42, 1), (1, 2), (7, 2), (42, 3), (1000, 2)])
-def test_index_chunks_cover_the_range_in_order(count, processes):
-    chunks = index_chunks(count, processes)
-    assert chunks[0][0] == 0
-    assert chunks[-1][1] == count
-    assert all(lo < hi for lo, hi in chunks)
-    assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
-    assert len(chunks) <= max(1, 4 * processes)
-
-
-@pytest.mark.parametrize("processes", [1, 2, 5])
-def test_index_chunks_of_nothing_is_no_chunk(processes):
-    assert index_chunks(0, processes) == []

@@ -142,18 +142,11 @@ def test_history_covers_network_reconstruction(mesh480):
 
 
 def test_history_start_minute_and_determinism(path3):
+    # pattern i falls in minute i from the fixed start 2020-01-01 00:00
     config = GeneratorConfig(ZipfModel(2.0), 0.5, seed=13)
-    start = datetime(2021, 6, 1, 12, 0)
-    records_a, ensemble_a = synthetic_history(path3, config, 10, start_minute=start)
-    records_b, ensemble_b = synthetic_history(path3, config, 10, start_minute=start)
+    records_a, ensemble_a = synthetic_history(path3, config, 10)
+    records_b, ensemble_b = synthetic_history(path3, config, 10)
     assert records_a == records_b
     assert ensemble_a == ensemble_b
-    assert min(r.timestamp for r in records_a) == start
-    assert max(r.timestamp for r in records_a) == datetime(2021, 6, 1, 12, 9)
-
-
-def test_history_workers_do_not_change_records(mesh480):
-    config = GeneratorConfig(ZipfModel(2.5), 0.4, p_circuits=0.3, seed=5)
-    serial, _ = synthetic_history(mesh480, config, 30, workers=1)
-    parallel, _ = synthetic_history(mesh480, config, 30, workers=2)
-    assert serial == parallel
+    assert records_a[0].timestamp == datetime(2020, 1, 1, 0, 0)
+    assert max(r.timestamp for r in records_a) == datetime(2020, 1, 1, 0, 9)
