@@ -215,8 +215,6 @@ def cmd_generate(args, out: Path) -> list[Path]:
 def cmd_evaluate(args, out: Path) -> list[Path]:
     net = network_mod.read_network_csv(args.network)
     observed = patterns.read_patterns_file(args.patterns)
-    if not observed:
-        raise DegenerateDataError("no observed patterns to evaluate against")
     config = _config(args, args.p_one_plus, args.seed)
     report = evaluation.evaluate_model(
         observed,
@@ -224,7 +222,6 @@ def cmd_evaluate(args, out: Path) -> list[Path]:
         config,
         repetitions=args.repetitions,
         permutations=args.permutations,
-        seed=args.seed,
         workers=args.threads,
     )
     csv_path = out / "evaluation.csv"

@@ -8,9 +8,13 @@ how often a split at least as distant as the observed one arises by chance.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import statistics
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Iterable
 
 import numpy as np
@@ -20,7 +24,6 @@ from .errors import DegenerateDataError
 from .generator import GeneratorConfig, _ensemble_counts
 from .lines import write_table
 from .network import Network
-from .parallel import pool_size, process_pool, run_all
 from .patterns import DegreeSequence, SizeHistogram, _sequence_counts, line_count
 from .rng import derive_seed, substream
 from .zipf import ZipfModel
@@ -155,12 +158,19 @@ class EvaluationReport:
         return sum(1 for p in self.p_values if p >= threshold)
 
 
+def _pool_size(requested: int, tasks: int) -> int:
+    """Worker processes for ``tasks`` tasks: min(requested, usable CPUs, tasks), at least 1."""
+    if requested < 1:
+        raise ValueError(f"worker count must be at least 1, got {requested}")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(requested, cpus, tasks))
+
+
 def _evaluate_repetition(
-    observed: Counter[DegreeSequence], network: Network, config: GeneratorConfig, permutations: int, seed: int, index: int
+    observed: Counter[DegreeSequence], network: Network, config: GeneratorConfig, permutations: int, index: int
 ) -> tuple[float, float]:
-    gen_config = replace(config, seed=derive_seed(seed, 0, index))
-    generated = _ensemble_counts(network, gen_config, observed.total())
-    result = _permutation_test(observed, generated, permutations, substream(seed, 1, index))
+    generated = _ensemble_counts(network, replace(config, seed=derive_seed(config.seed, 0, index)), observed.total())
+    result = _permutation_test(observed, generated, permutations, substream(config.seed, 1, index))
     return result.observed_statistic, result.p_value
 
 
@@ -171,25 +181,33 @@ def evaluate_model(
     *,
     repetitions: int = 100,
     permutations: int = 999,
-    seed: int = 0,
     workers: int = 1,
 ) -> EvaluationReport:
     """Evaluate a generator configuration against observed patterns.
 
     Each repetition generates a fresh ensemble of the same size as the
-    observed set from a repetition-specific stream, then records the
-    distance between the two empirical distributions and its permutation
-    p-value.  Results are independent of ``workers``.
+    observed set from a repetition-specific stream derived from
+    ``config.seed``, then records the distance between the two empirical
+    distributions and its permutation p-value.  The repetitions run on
+    ``workers`` processes, clamped to the CPUs and the repetitions, and come
+    back in order, so results are independent of ``workers``.
     """
     if repetitions < 1:
         raise ValueError("need at least one repetition")
     observed_counts = _sequence_counts(observed)
     if not observed_counts:
         raise DegenerateDataError("no observed patterns to evaluate against")
-    args = [(observed_counts, network, config, permutations, seed, i) for i in range(repetitions)]
-    with process_pool(pool_size(workers, repetitions)) as pool:
-        distances, p_values = zip(*run_all(pool, _evaluate_repetition, args))
-    return EvaluationReport(distances, p_values, permutations, seed)
+    task = partial(_evaluate_repetition, observed_counts, network, config, permutations)
+    processes = _pool_size(workers, repetitions)
+    if processes == 1:
+        results = [task(i) for i in range(repetitions)]
+    else:
+        # spawned, not forked: forking a process that already runs threads
+        # (numpy's among them) can deadlock the child
+        with ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("spawn")) as pool:
+            results = list(pool.map(task, range(repetitions)))
+    distances, p_values = zip(*results)
+    return EvaluationReport(distances, p_values, permutations, config.seed)
 
 
 def format_evaluation_report(report: EvaluationReport) -> str:

@@ -9,11 +9,14 @@ available, and a line is drawn uniformly from the chosen side in sorted line
 order.  Finally each multi-circuit line in the pattern picks up an extra
 parallel circuit with probability ``p_circuits``.
 
-The two sides are kept as sorted lists of network line ids and updated as
-each line joins, so a growth step costs about the degree of the buses it
-touches, not a rebuild of the whole boundary; heavy-tailed targets on large
-networks stay cheap.  Ids ascend in sorted line order, so ``side[i]`` picks
-the same line as indexing a side rebuilt and sorted by line on every step.
+Growth and calibration run on the network's integer ids, from the seed
+line's draw to the degree sequence; bus names appear only when a grown
+pattern is built for output.  The two sides are kept as sorted lists of
+line ids and updated as each line joins, so a growth step costs about the
+degree of the buses it touches, not a rebuild of the whole boundary;
+heavy-tailed targets on large networks stay cheap.  Ids ascend in sorted
+line order, so ``side[i]`` picks the same line as indexing a side rebuilt
+and sorted by line on every step.
 
 Pattern i of an ensemble draws from stream ``(seed, i)``, and every draw
 is the package's own (``rng``).  Its first two draws, the seed line and the
@@ -32,6 +35,7 @@ import math
 from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -39,14 +43,7 @@ import numpy as np
 from .errors import CalibrationError
 from .lines import Line, format_line
 from .network import Network
-from .patterns import (
-    DegreeSequence,
-    Pattern,
-    _branching_sums,
-    _trusted_pattern,
-    degree_sequence,
-    format_pattern,
-)
+from .patterns import DegreeSequence, Pattern, _branching_sums, _trusted_pattern, format_pattern
 from .rng import _BLOCK, Stream, Words, _bounded_uint32, _next_double, _pcg64_next, _pcg64_states
 from .zipf import ZipfModel
 
@@ -70,6 +67,8 @@ class GeneratorConfig:
             raise ValueError(f"p_one_plus must lie in [0, 1], got {self.p_one_plus}")
         if not 0.0 <= self.p_circuits <= 1.0:
             raise ValueError(f"p_circuits must lie in [0, 1], got {self.p_circuits}")
+        if not isinstance(self.seed, Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -178,14 +177,15 @@ class _Head:
         return [Stream(a << 64 | b, c << 64 | d, half) for a, b, c, d, half in zip(s_hi, s_lo, i_hi, i_lo, halves)]
 
 
-def _grow(network: Network, first: Line, target: int, p_one_plus: float, rng: Stream) -> tuple[set[Line], float, float]:
-    """Grow a connected line set from ``first`` toward ``target`` lines.
+def _grow(network: Network, first: int, target: int, p_one_plus: float, rng: Stream) -> tuple[set[int], float, float]:
+    """Grow a connected set of line ids from line ``first`` toward ``target`` lines.
 
     A candidate is a network line outside the pattern that touches it.  It
     lies on the degree-1 side when one of its ends has pattern degree 1, and
     on the degree-2+ side when one has degree 2 or more, so it can lie on
-    both.  Each side is a sorted list of line ids, and ids ascend in sorted
-    line order, so ``side[i]`` is the i-th candidate in sorted line order.
+    both.  Pattern degrees are kept by bus id, and each side is a sorted
+    list of line ids; ids ascend in sorted line order, so ``side[i]`` is the
+    i-th candidate in sorted line order.
     The sides are updated as each line joins: only the lines at a bus whose
     degree goes from 0 to 1 or from 1 to 2 change sides, so a step costs
     about the degree of its two buses plus a sorted insert or delete each.
@@ -195,7 +195,7 @@ def _grow(network: Network, first: Line, target: int, p_one_plus: float, rng: St
     the chosen side.  Stops early only if both sides are empty, which on a
     connected network means the pattern already covers every line.
 
-    Returns the grown lines and the interval ``(lo, hi]`` of parameters that
+    Returns the grown line ids and the interval ``(lo, hi]`` of parameters that
     grow them the same way: ``lo`` is the largest ``u`` that chose side 1 and
     ``hi`` the smallest that chose side 2 (-inf and +inf when there are
     none).  For every ``p`` in it each comparison comes out the same, so the
@@ -204,17 +204,17 @@ def _grow(network: Network, first: Line, target: int, p_one_plus: float, rng: St
     """
     if target <= 1:
         return {first}, -math.inf, math.inf
-    lines = network.lines
-    incident = network.incident_ids
+    ends = network.ends
+    incident = network.incident
     grown: set[int] = set()
-    degrees: dict[str, int] = {}
+    degrees: dict[int, int] = {}
     # per candidate id, its ends of pattern degree 1; degrees only rise, so
     # a candidate with an end of degree >= 2 keeps one until it joins
     ends_at_1: dict[int, int] = {}
     on_side2: set[int] = set()
     side1: list[int] = []
     side2: list[int] = []
-    line_id = network.line_ids[first]
+    line_id = first
     lo, hi = -math.inf, math.inf
     while True:
         grown.add(line_id)
@@ -224,7 +224,7 @@ def _grow(network: Network, first: Line, target: int, p_one_plus: float, rng: St
             del side1[bisect_left(side1, line_id)]
         if line_id in on_side2:
             del side2[bisect_left(side2, line_id)]
-        for bus in lines[line_id]:
+        for bus in ends[line_id]:
             degree = degrees.get(bus, 0)
             degrees[bus] = degree + 1
             if degree == 0:
@@ -261,17 +261,14 @@ def _grow(network: Network, first: Line, target: int, p_one_plus: float, rng: St
         else:
             break
         line_id = side[int(rng.integers(len(side)))]
-    return {lines[i] for i in grown}, lo, hi
+    return grown, lo, hi
 
 
-def _with_circuits(sampler: _Sampler, lines: set[Line], target: int, rng: Stream) -> GeneratedPattern:
-    """A grown line set as a GeneratedPattern; draws a double per multi-circuit line, in line order."""
-    config = sampler.config
-    extra: list[Line] = []
-    if config.p_circuits > 0.0:
-        for line in sorted(lines):
-            if sampler.network.multiplicity.get(line, 1) >= 2 and rng.random() < config.p_circuits:
-                extra.append(line)
+def _with_circuits(sampler: _Sampler, ids: set[int], target: int, rng: Stream) -> GeneratedPattern:
+    """A grown set of line ids as a GeneratedPattern; draws a double per multi-circuit line, in line order."""
+    network, p = sampler.network, sampler.config.p_circuits
+    lines = [network.lines[i] for i in sorted(ids)]
+    extra = [line for line in lines if p > 0.0 and network.multiplicity[line] >= 2 and rng.random() < p]
     return GeneratedPattern(
         pattern=_trusted_pattern(frozenset(lines)),
         extra_circuits=frozenset(extra),
@@ -288,8 +285,8 @@ def generate_ensemble(network: Network, config: GeneratorConfig, count: int) -> 
     out = []
     for head in sampler.heads(0, count):
         for line_id, target, rng in zip(head.line_ids.tolist(), head.targets.tolist(), head.streams()):
-            lines, _, _ = _grow(network, network.lines[line_id], target, config.p_one_plus, rng)
-            out.append(_with_circuits(sampler, lines, target, rng))
+            ids, _, _ = _grow(network, line_id, target, config.p_one_plus, rng)
+            out.append(_with_circuits(sampler, ids, target, rng))
     return out
 
 
@@ -317,7 +314,7 @@ class CalibrationResult:
     steps: tuple[CalibrationStep, ...]
 
 
-_Seed = tuple[Line, int, Stream]
+_Seed = tuple[int, int, Stream]
 
 
 def _seeds(network: Network, config: GeneratorConfig, count: int) -> tuple[Counter, list[_Seed]]:
@@ -326,7 +323,7 @@ def _seeds(network: Network, config: GeneratorConfig, count: int) -> tuple[Count
     Targets 1 and 2 never draw against p_one_plus or count in the branching
     estimator, and they give ``(1, 1)`` and ``(2, 1, 1)``: growth on a
     connected network of two or more lines always reaches a second line, and
-    a one-line network caps every target at 1.  A seed is the seed line,
+    a one-line network caps every target at 1.  A seed is the seed line's id,
     target and stream after both draws of a pattern with target 3 or more.
     """
     sampler = _Sampler(network, config)
@@ -336,8 +333,7 @@ def _seeds(network: Network, config: GeneratorConfig, count: int) -> tuple[Count
         small[(1, 1)] += int(np.count_nonzero(head.targets == 1))
         small[(2, 1, 1)] += int(np.count_nonzero(head.targets == 2))
         keep = np.flatnonzero(head.targets >= 3)
-        for line_id, target, stream in zip(head.line_ids[keep].tolist(), head.targets[keep].tolist(), head.streams(keep)):
-            seeds.append((network.lines[line_id], target, stream))
+        seeds += zip(head.line_ids[keep].tolist(), head.targets[keep].tolist(), head.streams(keep))
     return small, seeds
 
 
@@ -346,10 +342,12 @@ _Grown = tuple[float, float, DegreeSequence]
 
 def _regrow(network: Network, p_one_plus: float, seeds: list[_Seed]) -> list[_Grown]:
     """Each seeded pattern grown at ``p_one_plus`` from a copy of its stream, as ``(lo, hi, degree sequence)``."""
+    ends = network.ends
     out = []
     for first, target, stream in seeds:
-        lines, lo, hi = _grow(network, first, target, p_one_plus, stream.copy())
-        out.append((lo, hi, degree_sequence(lines)))
+        ids, lo, hi = _grow(network, first, target, p_one_plus, stream.copy())
+        degrees = Counter(bus for i in ids for bus in ends[i])
+        out.append((lo, hi, tuple(sorted(degrees.values(), reverse=True))))
     return out
 
 

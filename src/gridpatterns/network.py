@@ -28,6 +28,11 @@ class Network:
     multiplicity:
         Optional map from line to distinct circuit count (default 1).
 
+    Line i is ``lines[i]``, in sorted order, and bus j is the j-th bus name
+    in sorted order.  ``ends[i]`` holds the bus ids of line i, and
+    ``incident[j]`` the ids of the lines at bus j in ascending order; growth
+    runs on these ids, and names appear only where patterns are built.
+
     Raises ValueError if the resulting graph is empty or not connected;
     callers that start from raw data should reduce to the largest connected
     component first (see :func:`build_network_from_outages`).
@@ -49,19 +54,15 @@ class Network:
                     raise ValueError(f"multiplicity for line {key} must be >= 1")
                 mult[key] = int(count)
         self.multiplicity: dict[Line, int] = mult
-        adjacency: dict[str, list[Line]] = {}
-        for line in canon:
-            adjacency.setdefault(line[0], []).append(line)
-            adjacency.setdefault(line[1], []).append(line)
-        self.adjacency: dict[str, tuple[Line, ...]] = {
-            bus: tuple(sorted(incident)) for bus, incident in sorted(adjacency.items())
-        }
-        # line i is self.lines[i], so ascending ids follow sorted line order
-        self.line_ids: dict[Line, int] = {line: i for i, line in enumerate(canon)}
-        self.incident_ids: dict[str, tuple[int, ...]] = {
-            bus: tuple(self.line_ids[line] for line in incident) for bus, incident in self.adjacency.items()
-        }
-        self.buses: frozenset[str] = frozenset(self.adjacency)
+        names = sorted({bus for line in canon for bus in line})
+        bus_ids = {bus: j for j, bus in enumerate(names)}
+        self.ends: tuple[tuple[int, int], ...] = tuple((bus_ids[a], bus_ids[b]) for a, b in canon)
+        incident: list[list[int]] = [[] for _ in names]
+        for i, (a, b) in enumerate(self.ends):
+            incident[a].append(i)
+            incident[b].append(i)
+        self.incident: tuple[tuple[int, ...], ...] = tuple(map(tuple, incident))
+        self.buses: frozenset[str] = frozenset(names)
         self.multi_circuit_lines: tuple[Line, ...] = tuple(
             line for line in canon if mult[line] >= 2
         )

@@ -40,3 +40,9 @@ def cycle4() -> Network:
 def mesh480() -> Network:
     """480-line grid mesh with some multi-circuit lines, shared read-only."""
     return synthetic_network("grid-mesh", 480, multi_circuit_fraction=0.1, seed=11)
+
+
+@pytest.fixture(scope="session")
+def ba500() -> Network:
+    """500-line preferential-attachment network, shared read-only."""
+    return synthetic_network("ba-like", 500, seed=5)

@@ -6,7 +6,9 @@ pattern instead, which is slow (O(k^2 log k) for a k-line pattern) but
 follows the model's definition directly, so tests compare the incremental
 grower against them draw for draw.  They draw from a numpy Generator, while
 the package draws from its own PCG64 stream, so they also check the
-package's draws against numpy's.
+package's draws against numpy's.  They name lines and buses by their
+strings and build their own adjacency from ``network.lines``, so they read
+none of the integer indexes the package grows on.
 """
 
 from __future__ import annotations
@@ -29,8 +31,17 @@ class AttachablePartition(NamedTuple):
     at_degree_2plus: frozenset[Line]
 
 
+def bus_lines(network: Network) -> dict[str, list[Line]]:
+    """Each bus name's lines, from ``network.lines`` alone."""
+    adjacency: dict[str, list[Line]] = {}
+    for line in network.lines:
+        for bus in line:
+            adjacency.setdefault(bus, []).append(line)
+    return adjacency
+
+
 def partition_attachable(
-    network: Network, pattern_lines: frozenset[Line] | set[Line], degrees: Mapping[str, int]
+    adjacency: Mapping[str, Iterable[Line]], pattern_lines: frozenset[Line] | set[Line], degrees: Mapping[str, int]
 ) -> tuple[tuple[Line, ...], tuple[Line, ...]]:
     """Split the lines adjacent to a pattern by the degree of the bus they touch.
 
@@ -42,7 +53,7 @@ def partition_attachable(
     at_deg2: set[Line] = set()
     for bus, degree in degrees.items():
         side = at_deg1 if degree == 1 else at_deg2
-        for line in network.adjacency[bus]:
+        for line in adjacency[bus]:
             if line not in pattern_lines:
                 side.add(line)
     return tuple(sorted(at_deg1)), tuple(sorted(at_deg2))
@@ -60,7 +71,7 @@ def attachable_lines(network: Network, pattern_lines: Iterable[Line]) -> Attacha
     extra = pat - network.line_set
     if extra:
         raise ValueError(f"pattern uses lines outside the network: {sorted(extra)[:3]}")
-    deg1, deg2 = partition_attachable(network, pat, Counter(bus for line in pat for bus in line))
+    deg1, deg2 = partition_attachable(bus_lines(network), pat, Counter(bus for line in pat for bus in line))
     return AttachablePartition(frozenset(deg1), frozenset(deg2))
 
 
@@ -71,10 +82,11 @@ def grow(network: Network, first: Line, target: int, p_one_plus: float, rng) -> 
     when both sides are non-empty, then a uniform index into the chosen
     sorted side; growth stops when both sides are empty.
     """
+    adjacency = bus_lines(network)
     lines = {first}
     degrees = {first[0]: 1, first[1]: 1}
     while len(lines) < target:
-        at_deg1, at_deg2 = partition_attachable(network, lines, degrees)
+        at_deg1, at_deg2 = partition_attachable(adjacency, lines, degrees)
         if at_deg1 and at_deg2:
             side = at_deg1 if rng.random() < p_one_plus else at_deg2
         elif at_deg1:

@@ -462,6 +462,17 @@ def test_ingest_no_automatic_rows_exit_3(tmp_path):
     assert _run("ingest", "--outages", manual, "--out", tmp_path) == 3
 
 
+def test_evaluate_no_observed_patterns_exit_3(pipeline, tmp_path, capsys):
+    empty = tmp_path / "patterns.txt"
+    empty.write_text("\n")
+    rc = _run(
+        "evaluate", "--network", pipeline["ingest"] / "network.csv", "--patterns", empty,
+        "--s", 4.0, "--p-one-plus", 0.3, "--repetitions", 1, "--out", tmp_path / "out",
+    )
+    assert rc == 3
+    assert capsys.readouterr().err == "error: no observed patterns to evaluate against\n"
+
+
 def test_ingest_repeated_alias_exit_2(tmp_path, capsys):
     outages = tmp_path / "outages.csv"
     outages.write_text("timestamp,from_bus,to_bus,circuit_id,automatic\n2020-01-01 00:00,X,B,1,auto\n")

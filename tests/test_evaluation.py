@@ -1,6 +1,8 @@
-"""Permutation test behavior and the repeated-evaluation loop."""
+"""Permutation test behavior, the repeated-evaluation loop and its pool sizing."""
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from gridpatterns.distance import TransportSolver
 from gridpatterns.errors import DegenerateDataError
 from gridpatterns.evaluation import (
     EvaluationReport,
+    _pool_size,
     evaluate_model,
     format_evaluation_report,
     permutation_test,
@@ -204,36 +207,35 @@ def test_evaluate_model_shape_and_determinism(mesh480):
     observed = generate_ensemble(
         mesh480, GeneratorConfig(ZipfModel(4.09), 0.3, seed=61), 150
     )
-    config = GeneratorConfig(ZipfModel(4.09), 0.3)
-    report = evaluate_model(
-        observed, mesh480, config, repetitions=4, permutations=49, seed=5
-    )
+    config = GeneratorConfig(ZipfModel(4.09), 0.3, seed=5)
+    report = evaluate_model(observed, mesh480, config, repetitions=4, permutations=49)
     assert report.repetitions == 4
     assert report.permutations == 49
     assert len(report.p_values) == 4
     assert all(1 / 50 <= p <= 1.0 for p in report.p_values)
     assert all(d >= 0.0 for d in report.distances)
-    again = evaluate_model(
-        observed, mesh480, config, repetitions=4, permutations=49, seed=5
-    )
+    again = evaluate_model(observed, mesh480, config, repetitions=4, permutations=49)
     assert report == again
-    other_seed = evaluate_model(
-        observed, mesh480, config, repetitions=4, permutations=49, seed=6
-    )
-    assert report != other_seed
+
+
+def test_evaluate_model_takes_its_seed_from_the_config(mesh480):
+    # the config's seed is the one root of every repetition's streams
+    observed = generate_ensemble(mesh480, GeneratorConfig(ZipfModel(4.09), 0.3, seed=61), 150)
+    reports = [
+        evaluate_model(observed, mesh480, GeneratorConfig(ZipfModel(4.09), 0.3, seed=seed), repetitions=4, permutations=49)
+        for seed in (5, 6)
+    ]
+    assert [report.seed for report in reports] == [5, 6]
+    assert reports[0].distances != reports[1].distances
 
 
 def test_evaluate_model_workers_do_not_change_results(mesh480):
     observed = generate_ensemble(
         mesh480, GeneratorConfig(ZipfModel(4.09), 0.3, seed=61), 100
     )
-    config = GeneratorConfig(ZipfModel(4.09), 0.3)
-    serial = evaluate_model(
-        observed, mesh480, config, repetitions=4, permutations=29, seed=7, workers=1
-    )
-    parallel = evaluate_model(
-        observed, mesh480, config, repetitions=4, permutations=29, seed=7, workers=2
-    )
+    config = GeneratorConfig(ZipfModel(4.09), 0.3, seed=7)
+    serial = evaluate_model(observed, mesh480, config, repetitions=4, permutations=29, workers=1)
+    parallel = evaluate_model(observed, mesh480, config, repetitions=4, permutations=29, workers=2)
     assert serial == parallel
 
 
@@ -243,10 +245,8 @@ def test_evaluate_model_self_consistency(mesh480):
     observed = generate_ensemble(
         mesh480, GeneratorConfig(ZipfModel(4.09), 0.3, seed=71), 200
     )
-    config = GeneratorConfig(ZipfModel(4.09), 0.3)
-    report = evaluate_model(
-        observed, mesh480, config, repetitions=10, permutations=99, seed=9
-    )
+    config = GeneratorConfig(ZipfModel(4.09), 0.3, seed=9)
+    report = evaluate_model(observed, mesh480, config, repetitions=10, permutations=99)
     assert report.count_p_at_least(0.05) >= 8
 
 
@@ -262,13 +262,13 @@ def test_evaluate_model_self_consistency(mesh480):
 def test_evaluate_model_is_pinned_and_builds_no_pattern(mesh480, monkeypatch, weighted, distances, p_values):
     observed = generate_ensemble(mesh480, GeneratorConfig(ZipfModel(2.5), 0.3, p_circuits=0.07, seed=61), 200)
     weights = {line: float(i % 4) for i, line in enumerate(mesh480.lines)} if weighted else None
-    config = GeneratorConfig(ZipfModel(2.5), 0.35, p_circuits=0.07, initial_weights=weights)
+    config = GeneratorConfig(ZipfModel(2.5), 0.35, p_circuits=0.07, initial_weights=weights, seed=5)
 
     def refuse(*args, **kwargs):
         raise AssertionError("evaluate_model built a generated pattern")
 
     monkeypatch.setattr(generator, "_with_circuits", refuse)
-    report = evaluate_model(observed, mesh480, config, repetitions=3, permutations=49, seed=5)
+    report = evaluate_model(observed, mesh480, config, repetitions=3, permutations=49)
     assert (report.distances, report.p_values) == (distances, p_values)
 
 
@@ -322,3 +322,21 @@ def test_write_size_distribution_csv(tmp_path):
     assert rows[2].startswith("2,0.25,")
     fitted = float(rows[1].split(",")[2])
     assert fitted == pytest.approx(float(model.pmf(1)))
+
+
+CPUS = len(os.sched_getaffinity(0))
+
+
+# pool sizing is a pure clamp, tested without starting any process
+def test_pool_size_clamps_to_cpus_and_tasks():
+    assert _pool_size(10**9, 10**9) == CPUS
+    assert _pool_size(10**9, 1) == 1
+    assert _pool_size(1, 10**9) == 1
+    assert _pool_size(2, 10**9) == min(2, CPUS)
+    assert _pool_size(10**9, 0) == 1
+
+
+@pytest.mark.parametrize("requested", [0, -1, -(10**9)])
+def test_pool_size_rejects_fewer_than_one(requested):
+    with pytest.raises(ValueError):
+        _pool_size(requested, 10)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import replace
 
@@ -29,7 +30,7 @@ from gridpatterns.generator import (
     generate_ensemble,
     write_generated_patterns,
 )
-from gridpatterns.lines import Line, parse_line
+from gridpatterns.lines import parse_line
 from gridpatterns.network import Network
 from gridpatterns.patterns import Pattern, _sequence_counts, degree_sequence, p_one_plus_observed, parse_pattern
 from gridpatterns.rng import Stream, substream
@@ -81,6 +82,18 @@ def test_config_validation():
         _config(4.0, 0.5, p_circuits=2.0)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+def test_config_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
+    # at construction, not at the first draw, so it fails even for count=0
+    with pytest.raises(ValueError, match="seed"):
+        _config(4.0, 0.5, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [np.int64(7), 2**160 + 3])
+def test_config_accepts_any_nonnegative_integer_seed(seed):
+    assert _config(4.0, 0.5, seed=seed).seed == seed
+
+
 def test_generated_pattern_validation():
     pat = _pattern(("A", "B"), ("B", "C"))
     with pytest.raises(ValueError):
@@ -105,36 +118,32 @@ def test_single_line_network_always_single_line_patterns():
 
 
 def test_grow_along_forced_path(path4):
-    # only degree-1 attachments exist on a path, so growth is forced
-    lines, _, _ = _grow(path4, ("A", "B"), 3, 0.0, _stream(3))
-    assert lines == {("A", "B"), ("B", "C"), ("C", "D")}
-    lines, _, _ = _grow(path4, ("B", "C"), 2, 0.7, _stream(4))
-    assert lines in ({("A", "B"), ("B", "C")}, {("B", "C"), ("C", "D")})
+    # only degree-1 attachments exist on a path, so growth is forced; line
+    # ids 0, 1, 2 are A-B, B-C, C-D
+    ids, _, _ = _grow(path4, 0, 3, 0.0, _stream(3))
+    assert ids == {0, 1, 2}
+    ids, _, _ = _grow(path4, 1, 2, 0.7, _stream(4))
+    assert ids in ({0, 1}, {1, 2})
 
 
 def test_grow_respects_target(mesh480):
     rng = _stream(9)
     for target in (1, 2, 5, 12):
-        lines, _, _ = _grow(mesh480, mesh480.lines[0], target, 0.4, rng)
-        assert len(lines) == target
-        assert _connected(lines)
+        ids, _, _ = _grow(mesh480, 0, target, 0.4, rng)
+        assert len(ids) == target
+        assert _connected(mesh480.lines[i] for i in ids)
 
 
-@pytest.fixture(scope="module")
-def ba500() -> Network:
-    return synthetic_network("ba-like", 500, seed=5)
-
-
-def _grow_cases(network: Network, pick) -> list[tuple[Line, int]]:
-    """(seed line, target) pairs: every pair on a tiny network, else sampled targets up to full cover."""
+def _grow_cases(network: Network, pick) -> list[tuple[int, int]]:
+    """(seed line id, target) pairs: every pair on a tiny network, else sampled targets up to full cover."""
     n = network.n_lines
     if n <= 4:
-        return [(first, target) for first in network.lines for target in range(2, n + 2)]
+        return [(first, target) for first in range(n) for target in range(2, n + 2)]
     cases = []
     for target in (2, 3, 4, 6, 10, 25, 60):
-        cases += [(network.lines[int(pick.integers(n))], target) for _ in range(8)]
+        cases += [(int(pick.integers(n)), target) for _ in range(8)]
     for target in (n // 2, n, n + 1):
-        cases.append((network.lines[int(pick.integers(n))], target))
+        cases.append((int(pick.integers(n)), target))
     return cases
 
 
@@ -149,7 +158,8 @@ def test_grow_matches_rebuild_oracle_draw_for_draw(name, request):
         for p_one_plus in (0.0, 0.3, 1.0):
             mine, reference = _stream(5, case), substream(5, case)
             grown, _, _ = _grow(network, first, target, p_one_plus, mine)
-            assert grown == grow_oracle.grow(network, first, target, p_one_plus, reference)
+            expected = grow_oracle.grow(network, network.lines[first], target, p_one_plus, reference)
+            assert {network.lines[i] for i in grown} == expected
             assert _state_of(mine) == generator_state(reference)
             assert len(grown) == min(target, network.n_lines)
 
@@ -300,7 +310,7 @@ def _head_sampler(network: Network, weighted: bool, s: float = 3.0, seed: int = 
 def _seed_draws(sampler: _Sampler, rng: np.random.Generator) -> tuple[int, int, tuple]:
     """The per-pattern first draws on a numpy Generator: seed-line id, target, then the full stream state after both."""
     first, target = grow_oracle.first_draws(sampler.network, sampler.config, rng)
-    return sampler.network.line_ids[first], target, generator_state(rng)
+    return bisect_left(sampler.network.lines, first), target, generator_state(rng)
 
 
 def _head_rows(heads) -> list[tuple[int, int, tuple]]:
@@ -576,9 +586,9 @@ def test_calibration_with_uniform_seed_lines_matches_full_regeneration(mesh480):
 
 
 def test_saturation_on_small_network(path3):
-    lines, _, _ = _grow(path3, ("A", "B"), 10, 0.5, _stream(1))
-    assert lines == {("A", "B"), ("B", "C")}
-    gp = GeneratedPattern(Pattern(frozenset(lines)), frozenset(), 10, 2)
+    ids, _, _ = _grow(path3, 0, 10, 0.5, _stream(1))
+    assert ids == {0, 1}
+    gp = GeneratedPattern(Pattern(frozenset(path3.lines)), frozenset(), 10, 2)
     assert gp.saturated
 
 

@@ -75,9 +75,8 @@ def test_only_lines_reads_and_writes_csv():
 
 def test_only_evaluation_starts_a_pool():
     # generation, calibration and synth run in one process: only evaluate's
-    # whole repetitions pay for a worker, and only parallel.py makes one
-    assert _importers("gridpatterns.parallel") == ["evaluation.py"]
-    assert _importers("concurrent.futures", "multiprocessing") == ["parallel.py"]
+    # whole repetitions pay for a worker
+    assert _importers("concurrent.futures", "multiprocessing") == ["evaluation.py"]
 
 
 def test_every_open_names_utf8_or_binary():

@@ -25,10 +25,22 @@ def test_network_basics():
     assert net.lines == (("A", "B"), ("B", "C"))
     assert net.buses == {"A", "B", "C"}
     assert net.n_lines == 2
-    assert net.adjacency["B"] == (("A", "B"), ("B", "C"))
     assert net.multiplicity[("A", "B")] == 1
-    assert net.line_ids == {("A", "B"): 0, ("B", "C"): 1}
-    assert net.incident_ids == {"A": (0,), "B": (0, 1), "C": (1,)}
+    assert net.ends == ((0, 1), (1, 2))
+    assert net.incident == ((0,), (0, 1), (1,))
+
+
+@pytest.mark.parametrize("name", ["mesh480", "ba500"])
+def test_integer_ids_follow_sorted_names(name, request):
+    # line i is lines[i], bus j the j-th bus name in sorted order
+    net = request.getfixturevalue(name)
+    names = sorted(net.buses)
+    assert len(net.incident) == net.n_buses
+    for i, (line, ends) in enumerate(zip(net.lines, net.ends)):
+        assert ends == (names.index(line[0]), names.index(line[1]))
+        assert all(i in net.incident[bus] for bus in ends)
+    assert all(list(ids) == sorted(set(ids)) for ids in net.incident)
+    assert sum(map(len, net.incident)) == 2 * net.n_lines
 
 
 def test_network_rejects_disconnected_and_empty():
@@ -137,11 +149,8 @@ def test_attachable_partition_properties(mesh480):
         part = attachable_lines(mesh480, pattern)
         union = part.at_degree_1 | part.at_degree_2plus
         assert not union & pattern
-        neighborhood = {
-            line
-            for bus in {b for ln in pattern for b in ln}
-            for line in mesh480.adjacency[bus]
-        } - pattern
+        buses = {b for ln in pattern for b in ln}
+        neighborhood = {line for line in mesh480.lines if buses & set(line)} - pattern
         assert union == neighborhood
         if len(pattern) < mesh480.n_lines:
             assert union
