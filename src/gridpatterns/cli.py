@@ -15,10 +15,11 @@ Nothing in the outputs depends on wall-clock time or on the ``--threads``
 value, so reruns with the same manifest are byte-identical.
 
 Exit codes: 0 on success; 2 for input and format problems and for invalid
-arguments (such as ``--threads`` below 1, a negative ``--seed`` or
-``--history-count``, ``fit`` given only one of ``--generations`` and
-``--network``, or a calibration ensemble size or iteration count
-below 1 or a negative or NaN tolerance); 3 for empty or degenerate data; 4
+arguments (such as ``--threads`` below 1, a negative ``--seed``, a
+``--count``, ``--ensemble-size`` or ``--history-count`` that is negative or
+2**32 or more, ``fit`` given only one of ``--generations`` and
+``--network``, or a calibration ensemble size or iteration count below 1
+or a negative or NaN tolerance); 3 for empty or degenerate data; 4
 for calibration failure; 5 for any other error this package raises; 6 when
 the machine runs out of memory (say for ``synth --lines`` 10**12).
 """
@@ -34,7 +35,7 @@ from pathlib import Path
 from . import evaluation, generator, ingest, network as network_mod, patterns, synthnet, zipf
 from .errors import CalibrationError, DegenerateDataError, GridPatternsError, InputFormatError
 from .lines import write_table
-from .rng import derive_seed
+from .rng import STREAMS, derive_seed
 
 # The first row whose types match an error gives the exit code, so each
 # subclass is listed before its base.
@@ -93,8 +94,8 @@ def _check(args) -> None:
     if args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
     if args.command == "synth" and args.history_count:
-        if args.history_count < 0:
-            raise ValueError(f"--history-count must be non-negative, got {args.history_count}")
+        if not 0 <= args.history_count < STREAMS:
+            raise ValueError(f"--history-count must lie in [0, 2**32), got {args.history_count}")
         if args.s is None or args.p_one_plus is None:
             raise InputFormatError("--history-count requires --s and --p-one-plus")
     if args.command == "fit" and bool(args.generations) != bool(args.network):

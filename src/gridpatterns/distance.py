@@ -214,14 +214,9 @@ class SequenceGraph:
         key = (ca, cb) if ca <= cb else (cb, ca)
         hit = self._pairs.get(key)
         if hit is None:
-            lower = _alignment_bound(ca, cb)
             # removals down to a single line and additions back up form a
             # genuine path, so la + lb - 2 always bounds above
-            upper = (sum(ca) + sum(cb)) // 2 - 2
-            if upper == lower:
-                hit = upper
-            else:
-                hit = _bounded_search(ca, cb, lower, upper)
+            hit = _bounded_search(ca, cb, _alignment_bound(ca, cb), (sum(ca) + sum(cb)) // 2 - 2)
             self._pairs[key] = hit
         return hit
 

@@ -44,7 +44,7 @@ from .errors import CalibrationError
 from .lines import Line, format_line
 from .network import Network
 from .patterns import DegreeSequence, Pattern, _branching_sums, _trusted_pattern, format_pattern
-from .rng import _BLOCK, Stream, Words, _bounded_uint32, _next_double, _pcg64_next, _pcg64_states
+from .rng import _BLOCK, STREAMS, Stream, Words, _bounded_uint32, _next_double, _pcg64_next, _pcg64_states
 from .zipf import ZipfModel
 
 
@@ -69,6 +69,7 @@ class GeneratorConfig:
             raise ValueError(f"p_circuits must lie in [0, 1], got {self.p_circuits}")
         if not isinstance(self.seed, Integral) or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
 
 
 @dataclass(frozen=True)
@@ -110,8 +111,8 @@ class _Sampler:
                 raise ValueError(f"initial weights for lines outside the network: {sorted(unknown)[:3]}")
             for i, line in enumerate(network.lines):
                 w = float(config.initial_weights.get(line, 0.0))
-                if w < 0:
-                    raise ValueError(f"negative initial weight for line {line}")
+                if not 0 <= w < math.inf:
+                    raise ValueError(f"initial weight for line {line} must be finite and nonnegative, got {w}")
                 weights[i] = w
             total = weights.sum()
             if total <= 0:
@@ -145,10 +146,10 @@ class _Sampler:
             halves[i] = stream.half
         return _Head(line_ids, targets, after, inc, halves)
 
-    def heads(self, start: int, stop: int) -> Iterator[_Head]:
-        """:meth:`head` of the streams ``(config.seed, i)`` for i in [start, stop), one block at a time."""
-        for lo in range(start, stop, _BLOCK):
-            yield self.head(*_pcg64_states(self.config.seed, lo, min(lo + _BLOCK, stop)))
+    def heads(self, count: int) -> Iterator[_Head]:
+        """:meth:`head` of streams ``(config.seed, i)``, i in [0, count), by block; ValueError past 2**32."""
+        for lo in range(0, count, _BLOCK):
+            yield self.head(*_pcg64_states(self.config.seed, lo, min(lo + _BLOCK, count)))
 
 
 def _int_at(words: Words, i: int) -> int:
@@ -278,12 +279,15 @@ def _with_circuits(sampler: _Sampler, ids: set[int], target: int, rng: Stream) -
 
 
 def generate_ensemble(network: Network, config: GeneratorConfig, count: int) -> list[GeneratedPattern]:
-    """Generate ``count`` patterns in one process, pattern i drawn from stream (seed, i) alone."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
+    """Generate ``count`` patterns in one process, pattern i drawn from stream (seed, i) alone.
+
+    Raises ValueError for a count outside [0, 2**32), the streams one seed has.
+    """
+    if not 0 <= count < STREAMS:
+        raise ValueError(f"count must lie in [0, 2**32), got {count}")
     sampler = _Sampler(network, config)
     out = []
-    for head in sampler.heads(0, count):
+    for head in sampler.heads(count):
         for line_id, target, rng in zip(head.line_ids.tolist(), head.targets.tolist(), head.streams()):
             ids, _, _ = _grow(network, line_id, target, config.p_one_plus, rng)
             out.append(_with_circuits(sampler, ids, target, rng))
@@ -329,7 +333,7 @@ def _seeds(network: Network, config: GeneratorConfig, count: int) -> tuple[Count
     sampler = _Sampler(network, config)
     small: Counter[DegreeSequence] = Counter()
     seeds = []
-    for head in sampler.heads(0, count):
+    for head in sampler.heads(count):
         small[(1, 1)] += int(np.count_nonzero(head.targets == 1))
         small[(2, 1, 1)] += int(np.count_nonzero(head.targets == 2))
         keep = np.flatnonzero(head.targets >= 3)
@@ -382,16 +386,16 @@ def calibrate_p_one_plus(
     Bisection stops unconverged once the midpoint rounds to an end of its
     bracket.
 
-    Raises ValueError for a target outside [0, 1], an ensemble_size or
-    max_iterations below 1, or a tolerance that is negative or NaN.  Raises
-    CalibrationError when the target lies outside what the network can
-    produce at the endpoints, or when no generated pattern ever has 3 or
-    more lines.
+    Raises ValueError for a target outside [0, 1], an ensemble_size outside
+    [1, 2**32), a max_iterations below 1, or a tolerance that is negative or
+    NaN.  Raises CalibrationError when the target lies outside what the
+    network can produce at the endpoints, or when no generated pattern ever
+    has 3 or more lines.
     """
     if not 0.0 <= target <= 1.0:
         raise ValueError(f"target must lie in [0, 1], got {target}")
-    if ensemble_size < 1:
-        raise ValueError(f"ensemble_size must be at least 1, got {ensemble_size}")
+    if not 1 <= ensemble_size < STREAMS:
+        raise ValueError(f"ensemble_size must lie in [1, 2**32), got {ensemble_size}")
     if not tolerance >= 0:
         raise ValueError(f"tolerance must be nonnegative, got {tolerance}")
     if max_iterations < 1:

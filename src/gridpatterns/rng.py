@@ -7,10 +7,11 @@ of how work is divided among worker processes, which is what makes
 ensembles byte-identical for any worker count.
 
 :func:`substream` wraps a stream in a numpy Generator.  Pattern generation
-draws through this module instead, one stream per pattern, by the hundred
-thousand:
+and calibration draw through this module instead, one stream per pattern, by
+the hundred thousand:
 
-- :func:`_pcg64_states` derives a block of streams' states as uint64 array
+- :func:`_pcg64_states`, the one derivation of these streams, gives a block
+  of streams ``(seed, i)``, i < 2**32 (:data:`STREAMS`), as uint64 array
   arithmetic: SeedSequence's hash mixing vectorised over the index, then
   PCG64's 128-bit ``srandom`` (O'Neill 2014), on ``(hi, lo)`` pairs of
   uint64 words multiplied and added from 32-bit limbs (:func:`_muladd`);
@@ -68,6 +69,8 @@ _LOW32 = np.uint64(_MASK32)
 _U32 = np.uint64(32)
 # Indices per vectorised block of streams; bounds the arrays' memory.
 _BLOCK = 1024
+# Streams per seed that _pcg64_states derives: a spawn key is one 32-bit word.
+STREAMS = 1 << 32
 
 Words = tuple[np.ndarray, np.ndarray]
 
@@ -127,31 +130,14 @@ def _bounded_uint32(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 def _pcg64_states(seed: int, start: int, stop: int) -> tuple[Words, Words]:
     """PCG64 state and increment of ``substream(seed, i)`` for each i in ``range(start, stop)``.
 
-    Both come as ``(hi, lo)`` pairs of uint64 arrays.  Indices in [0, 2**32)
-    of a nonnegative int seed are derived here: their spawn key is one 32-bit
-    word, the last of SeedSequence's entropy, so all the mixing before it is
-    shared by the range and only the last step runs as uint32 array
-    arithmetic over the index.  Any other key (a negative or non-int seed, a
-    negative index, or one of two words) is seeded by numpy's SeedSequence
-    and PCG64, which also raise their errors unchanged.
+    Both come as ``(hi, lo)`` pairs of uint64 arrays.  The seed is a
+    nonnegative int and 0 <= start <= stop <= :data:`STREAMS`, so each spawn
+    key is one 32-bit word, the last of SeedSequence's entropy: all the
+    mixing before it is shared by the range, and only the last step runs as
+    uint32 array arithmetic over the index.  Raises ValueError otherwise.
     """
-    if type(seed) is not int or seed < 0 or start < 0:
-        mid = start
-    else:
-        mid = max(start, min(stop, 1 << 32))
-    words = []
-    for i in range(mid, stop):
-        pcg = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(i,))).state["state"]
-        words.append((pcg["state"] >> 64, pcg["state"] & _MASK64, pcg["inc"] >> 64, pcg["inc"] & _MASK64))
-    words = np.array(words, dtype=np.uint64).reshape(-1, 4).T
-    if mid > start:
-        words = np.concatenate([_derived_states(seed, start, mid), words], axis=1)
-    s_hi, s_lo, i_hi, i_lo = words
-    return (s_hi, s_lo), (i_hi, i_lo)
-
-
-def _derived_states(seed: int, start: int, stop: int) -> np.ndarray:
-    """:func:`_pcg64_states` for a nonnegative int seed and 0 <= start < stop <= 2**32, as rows state_hi, state_lo, inc_hi, inc_lo."""
+    if not (type(seed) is int and seed >= 0 and 0 <= start <= stop <= STREAMS):
+        raise ValueError(f"keys need an int seed >= 0 and 0 <= start <= stop <= 2**32, got {seed!r}, {start}, {stop}")
     # The seed's 32-bit words, little end first, padded with zeros to the
     # pool size because a spawn key follows them.
     entropy = [(seed >> shift) & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
@@ -190,8 +176,7 @@ def _derived_states(seed: int, start: int, stop: int) -> np.ndarray:
     # with initstate added between them.
     one = np.uint64(1)
     inc = ((q_hi << one) | (q_lo >> np.uint64(63)), (q_lo << one) | one)
-    state = _muladd(_muladd((s_hi, s_lo), _ONE, inc), _PCG_MULT, inc)
-    return np.stack([*state, *inc])
+    return _muladd(_muladd((s_hi, s_lo), _ONE, inc), _PCG_MULT, inc), inc
 
 
 class Stream:

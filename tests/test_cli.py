@@ -333,7 +333,7 @@ def test_memory_error_exit_6(pipeline, tmp_path, monkeypatch, capsys, flag, mess
         "--lines": (cli.synthnet, "synthetic_network", ("synth", "--kind", "grid-mesh", "--lines", 10**12)),
         "--history-count": (
             cli.synthnet, "synthetic_history",
-            ("synth", "--kind", "grid-mesh", "--lines", 20, "--history-count", 10**12, *model),
+            ("synth", "--kind", "grid-mesh", "--lines", 20, "--history-count", 2**32 - 1, *model),
         ),
         "--repetitions": (
             cli.evaluation, "evaluate_model",
@@ -380,6 +380,24 @@ def test_calibrate_bad_arguments_exit_2(tmp_path, path4, flags):
     assert not (tmp_path / "cal" / "calibration.json").exists()
 
 
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("generate", ("--p-one-plus", 0.3, "--count", 10**12)),
+        ("calibrate", ("--target", 0.5, "--ensemble-size", 10**12)),
+    ],
+)
+def test_count_past_the_stream_domain_exit_2(pipeline, tmp_path, capsys, command, flags):
+    # one seed has 2**32 streams, one per pattern; these counts used to run
+    # until memory ran out
+    out = tmp_path / "out"
+    rc = _run(command, "--network", pipeline["ingest"] / "network.csv", "--s", 3.0, *flags, "--out", out)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not (out / "manifest.json").exists()
+
+
 def test_calibrate_nan_tolerance_exit_2(pipeline, tmp_path):
     # a NaN tolerance passed "tolerance < 0", and the run went on to write
     # "tolerance": NaN into calibration.json, which is not JSON
@@ -418,10 +436,15 @@ def test_negative_seed_exit_2_before_any_output(pipeline, tmp_path, capsys, comm
 
 @pytest.mark.parametrize(
     "flags",
-    [("--history-count", 5), ("--history-count", -5, "--s", 3.0, "--p-one-plus", 0.3)],
+    [
+        ("--history-count", 5),
+        ("--history-count", -5, "--s", 3.0, "--p-one-plus", 0.3),
+        ("--history-count", 2**32, "--s", 3.0, "--p-one-plus", 0.3),
+    ],
 )
 def test_synth_bad_history_exit_2_before_any_output(tmp_path, capsys, flags):
-    # both used to write network.csv and then fail without a manifest
+    # each used to write network.csv and then fail without a manifest, or
+    # for 2**32 and more run out of memory
     out = tmp_path / "out"
     assert _run("synth", "--kind", "grid-mesh", "--lines", 40, *flags, "--out", out) == 2
     assert "--history-count" in capsys.readouterr().err

@@ -33,7 +33,7 @@ from gridpatterns.generator import (
 from gridpatterns.lines import parse_line
 from gridpatterns.network import Network
 from gridpatterns.patterns import Pattern, _sequence_counts, degree_sequence, p_one_plus_observed, parse_pattern
-from gridpatterns.rng import Stream, substream
+from gridpatterns.rng import Stream, _pcg64_states, substream
 from gridpatterns.synthnet import synthetic_network
 from gridpatterns.zipf import ZipfModel
 
@@ -91,7 +91,10 @@ def test_config_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
 
 @pytest.mark.parametrize("seed", [np.int64(7), 2**160 + 3])
 def test_config_accepts_any_nonnegative_integer_seed(seed):
-    assert _config(4.0, 0.5, seed=seed).seed == seed
+    # stored as a plain int, the one seed type that stream derivation takes
+    config = _config(4.0, 0.5, seed=seed)
+    assert config.seed == seed
+    assert type(config.seed) is int
 
 
 def test_generated_pattern_validation():
@@ -281,14 +284,18 @@ def test_ensemble_counts_equal_the_counted_ensemble(mesh480, case):
 
 
 def test_generation_never_builds_a_numpy_generator(tmp_path, mesh480, monkeypatch):
-    # every draw of generation and calibration is the package's own, so
-    # their outputs cannot move with numpy's Generator methods
+    # every stream and draw of generation and calibration is the package's
+    # own, so their outputs cannot move with numpy's Generator methods; a
+    # numpy-integer seed takes the same path as the int it equals
     cases = [(_pinned_case(case, mesh480), digest) for case, digest in _PINNED_ENSEMBLES]
+    (network, config), digest = cases[0]
+    cases.append(((network, replace(config, seed=np.int64(17))), digest))
 
     def refuse(*args, **kwargs):
-        raise AssertionError("pattern generation built a numpy Generator")
+        raise AssertionError("pattern generation seeded or built a numpy generator")
 
     monkeypatch.setattr(np.random, "Generator", refuse)
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
     for (network, config), digest in cases:
         assert _ensemble_digest(tmp_path, network, config) == digest
     assert tuple(step.generated_value for step in _pinned_calibration(mesh480).steps) == _PINNED_CALIBRATION
@@ -321,12 +328,13 @@ def _head_rows(heads) -> list[tuple[int, int, tuple]]:
 @pytest.mark.parametrize("weighted", [False, True])
 @pytest.mark.parametrize("k_max", [1, 2, 3, 300, 2000])
 def test_heads_match_per_pattern_seed_draws(head_networks, k_max, weighted, seed):
-    # the first range crosses the 1024-stream block edge, the second the
-    # switch from derived stream states to numpy's at index 2**32
+    # heads crosses the 1024-stream block edge; the last streams of the
+    # one-word spawn-key domain end just below index 2**32
     sampler = _head_sampler(head_networks[k_max], weighted, seed=seed)
-    for start, stop in [(0, 1030), (2**32 - 3, 2**32 + 6)]:
-        expected = [_seed_draws(sampler, substream(seed, i)) for i in range(start, stop)]
-        assert _head_rows(sampler.heads(start, stop)) == expected
+    expected = [_seed_draws(sampler, substream(seed, i)) for i in range(1030)]
+    assert _head_rows(sampler.heads(1030)) == expected
+    expected = [_seed_draws(sampler, substream(seed, i)) for i in range(2**32 - 9, 2**32)]
+    assert _head_rows([sampler.head(*_pcg64_states(seed, 2**32 - 9, 2**32))]) == expected
 
 
 def _head_of_states(sampler: _Sampler, states: list[int]):
@@ -408,8 +416,9 @@ def test_same_seed_reproducible(mesh480):
 
 def test_ensemble_count_validation(path3):
     assert generate_ensemble(path3, _config(2.0, 0.5), 0) == []
-    with pytest.raises(ValueError):
-        generate_ensemble(path3, _config(2.0, 0.5), -1)
+    for count in (-1, 2**32):
+        with pytest.raises(ValueError, match="count"):
+            generate_ensemble(path3, _config(2.0, 0.5), count)
 
 
 def test_initial_weights_validation(path3):
@@ -419,6 +428,11 @@ def test_initial_weights_validation(path3):
         generate_ensemble(path3, _config(2.0, 0.5, initial_weights={("A", "B"): -1.0}), 1)
     with pytest.raises(ValueError):
         generate_ensemble(path3, _config(2.0, 0.5, initial_weights={("A", "B"): 0.0}), 1)
+    # NaN compares false with everything, so it used to pass as a weight and
+    # an infinite one took every draw
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            generate_ensemble(path3, _config(2.0, 0.5, initial_weights={("A", "B"): bad, ("B", "C"): 1.0}), 1)
 
 
 def test_initial_weights_frequencies(path3):
@@ -549,6 +563,7 @@ def test_calibration_target_validation(path3):
         {"ensemble_size": -5},
         {"tolerance": -0.001},
         {"tolerance": float("nan")},
+        {"ensemble_size": 2**32},
     ],
 )
 def test_calibration_rejects_bad_arguments(mesh480, kwargs):

@@ -79,6 +79,27 @@ def test_only_evaluation_starts_a_pool():
     assert _importers("concurrent.futures", "multiprocessing") == ["evaluation.py"]
 
 
+def _dotted(node: ast.expr) -> str:
+    """``a.b.c`` for a chain of attributes on a name, else ''."""
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return base and f"{base}.{node.attr}"
+    return node.id if isinstance(node, ast.Name) else ""
+
+
+def test_only_rng_calls_numpy_random():
+    # rng.py derives every stream, so seeds cannot drift between two
+    # derivations; annotations such as np.random.Generator are not calls
+    package = Path(gridpatterns.__file__).resolve().parent
+    callers = {
+        path.name
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and _dotted(node.func).startswith(("np.random.", "numpy.random."))
+    }
+    assert sorted(callers) == ["rng.py"]
+
+
 def test_every_open_names_utf8_or_binary():
     # text files are UTF-8 whatever the locale's default encoding
     package = Path(gridpatterns.__file__).resolve().parent
