@@ -25,7 +25,6 @@ from .distance import (
     SequenceGraph,
     TransportPlan,
     empirical_distribution,
-    is_connected_graphical,
     sequence_distance,
     sequence_neighbors,
     wasserstein,
@@ -106,7 +105,6 @@ __all__ = [
     "fit_mle",
     "generate_ensemble",
     "group_into_generations",
-    "is_connected_graphical",
     "line_count",
     "load_alias_map",
     "log_likelihood",

@@ -26,26 +26,15 @@ from .errors import DegenerateDataError
 from .patterns import DegreeSequence, _sequence_counts, check_degree_sequence, line_count
 
 
-def is_connected_graphical(seq: Sequence[int]) -> bool:
-    """Whether some connected simple graph has this degree sequence.
-
-    Combines the Erdős–Gallai test for simple graphicality with the two
-    conditions that make a connected realization possible: every degree is
-    at least 1 and the degree sum is at least 2*(bus count - 1).  A
-    graphical sequence satisfying those bounds always has a connected
-    realization, because disconnected realizations can be rewired by edge
-    swaps that merge components without changing degrees.
-    """
-    values = tuple(sorted((int(d) for d in seq), reverse=True))
-    if not values or values[-1] < 1:
-        return False
-    return _valid_canonical(values)
-
-
 @functools.cache
 def _valid_canonical(values: DegreeSequence) -> bool:
-    # values nonincreasing and positive; candidates recur across many parent
-    # sequences, so the verdict is memoized process-wide
+    """Whether some connected simple graph has the nonincreasing positive degrees ``values``.
+
+    Erdős–Gallai decides simple graphicality; a connected realization also
+    needs a degree sum of at least 2*(bus count - 1), and that suffices, as
+    edge swaps that merge components keep the degrees.  Candidates recur
+    across many parent sequences, so the verdict is memoized process-wide.
+    """
     total = sum(values)
     if total % 2 or total < 2 * (len(values) - 1):
         return False
@@ -62,7 +51,6 @@ def _valid_canonical(values: DegreeSequence) -> bool:
     return True
 
 
-@functools.cache
 def _moves(canon: DegreeSequence, step: int) -> tuple[DegreeSequence, ...]:
     """Valid degree sequences one line away from a canonical one, sorted.
 

@@ -141,7 +141,7 @@ class _Sampler:
         for i in np.flatnonzero(redo | (self.k_max == 1)).tolist():
             stream = Stream(_int_at(state, i), _int_at(inc, i))
             line_ids[i] = stream.integers(self.k_max)
-            targets[i] = self.config.size_model.sample_size(stream, self.k_max)
+            targets[i] = self.config.size_model._sizes(stream.random(), self.k_max)
             after[0][i], after[1][i] = divmod(stream.state, 1 << 64)
             halves[i] = stream.half
         return _Head(line_ids, targets, after, inc, halves)

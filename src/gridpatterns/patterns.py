@@ -44,10 +44,6 @@ class Pattern:
     def __iter__(self):
         return iter(self.lines)
 
-    @property
-    def buses(self) -> frozenset[str]:
-        return frozenset(bus for line in self.lines for bus in line)
-
 
 def _trusted_pattern(lines: frozenset[Line], source_minute: datetime | None = None) -> Pattern:
     """A Pattern built without the checks of ``Pattern.__post_init__``.

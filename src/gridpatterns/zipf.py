@@ -16,7 +16,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateDataError, NoFiniteMLEError
-from .rng import Stream
 
 # Euler-Maclaurin evaluation of zeta: direct sum below _ZETA_CUTOFF plus the
 # integral, half-term, and Bernoulli corrections through B8 at the cutoff.
@@ -101,20 +100,12 @@ class ZipfModel:
         head = sum(self.pmf(k) for k in range(1, cutoff))
         return 1.0 - head
 
-    def sample_size(self, rng: Stream, k_max: int) -> int:
-        """Draw one size by inverse transform, truncating at ``k_max``.
+    def sample_sizes(self, rng: np.random.Generator, k_max: int, count: int) -> np.ndarray:
+        """Draw ``count`` sizes by inverse transform of ``rng.random(count)``, truncating at ``k_max``.
 
-        ``rng`` is a pattern's :class:`rng.Stream`, or anything else whose
-        ``random()`` returns a double in [0, 1), such as a numpy Generator.
         The tail mass beyond k_max collapses onto k_max itself, which keeps
         draws usable as target sizes on a finite network.
         """
-        if k_max < 1:
-            raise ValueError("k_max must be >= 1")
-        return int(self._sizes(rng.random(), int(k_max)))
-
-    def sample_sizes(self, rng: np.random.Generator, k_max: int, count: int) -> np.ndarray:
-        """Vectorized version of :meth:`sample_size`."""
         if k_max < 1:
             raise ValueError("k_max must be >= 1")
         return self._sizes(rng.random(count), int(k_max))

@@ -111,7 +111,7 @@ def first_draws(network: Network, config: GeneratorConfig, rng) -> tuple[Line, i
         weights = np.array([float(config.initial_weights.get(line, 0.0)) for line in network.lines])
         cum = np.cumsum(weights / weights.sum())
         first = network.lines[min(int(np.searchsorted(cum, rng.random(), "right")), n - 1)]
-    return first, config.size_model.sample_size(rng, n)
+    return first, int(config.size_model.sample_sizes(rng, n, 1)[0])
 
 
 def generate_pattern(network: Network, config: GeneratorConfig, rng) -> GeneratedPattern:

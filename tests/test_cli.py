@@ -451,6 +451,18 @@ def test_synth_bad_history_exit_2_before_any_output(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+def test_synth_bad_fraction_exit_2_before_any_output(tmp_path, capsys):
+    # the fraction is checked before the network is built, so any --lines
+    # fails at once
+    rc = _run("synth", "--kind", "grid-mesh", "--lines", 10, "--multi-circuit-fraction", 1.5, "--out", tmp_path)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "multi_circuit_fraction" in err
+    assert not (tmp_path / "network.csv").exists()
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_ingest_missing_file_exit_2(tmp_path):
     assert _run("ingest", "--outages", tmp_path / "absent.csv", "--out", tmp_path) == 2
 

@@ -26,7 +26,7 @@ from gridpatterns.distance import (
     empirical_distribution,
     _moves,
     _north_west_cost,
-    is_connected_graphical,
+    _valid_canonical,
     sequence_distance,
     sequence_neighbors,
     wasserstein,
@@ -47,35 +47,37 @@ def test_validity_matches_graph_enumeration():
     for lines in range(1, 6):
         truth = enumerated[lines]
         for seq in all_candidates(lines):
-            assert is_connected_graphical(seq) == (seq in truth), seq
+            assert _valid_canonical(seq) == (seq in truth), seq
 
 
 def test_validity_matches_erdos_gallai_to_eight_lines():
     for lines in range(1, 9):
         for seq in all_candidates(lines):
-            assert is_connected_graphical(seq) == eg_connected_valid(seq), seq
+            assert _valid_canonical(seq) == eg_connected_valid(seq), seq
 
 
 def test_validity_spot_cases():
-    assert is_connected_graphical((1, 1))
-    assert is_connected_graphical((2, 1, 1))
-    assert is_connected_graphical((2, 2, 2))
-    assert is_connected_graphical((4, 1, 1, 1, 1))
+    assert _valid_canonical((1, 1))
+    assert _valid_canonical((2, 1, 1))
+    assert _valid_canonical((2, 2, 2))
+    assert _valid_canonical((4, 1, 1, 1, 1))
     # odd sum
-    assert not is_connected_graphical((1, 1, 1))
+    assert not _valid_canonical((1, 1, 1))
     # graphical but forced disconnected: two separate edges
-    assert not is_connected_graphical((1, 1, 1, 1))
+    assert not _valid_canonical((1, 1, 1, 1))
     # not graphical at all
-    assert not is_connected_graphical((3, 3, 1, 1))
-    assert not is_connected_graphical((2,))
-    assert not is_connected_graphical(())
-    assert not is_connected_graphical((0, 1))
+    assert not _valid_canonical((3, 3, 1, 1))
+    assert not _valid_canonical((2,))
+    # not sequences of a pattern at all
+    for seq in [(), (0, 1)]:
+        with pytest.raises(ValueError):
+            sequence_neighbors(seq)
 
 
 def test_validity_matches_havel_hakimi_to_ten_lines():
     for lines in range(1, 11):
         for seq in all_candidates(lines):
-            assert is_connected_graphical(seq) == havel_hakimi_connected_valid(seq), seq
+            assert _valid_canonical(seq) == havel_hakimi_connected_valid(seq), seq
 
 
 def test_validity_matches_havel_hakimi_on_long_sequences():
@@ -90,7 +92,7 @@ def test_validity_matches_havel_hakimi_on_long_sequences():
         degrees[0] += int(degrees.sum()) % 2
         seq = tuple(sorted(degrees.tolist(), reverse=True))
         expected = havel_hakimi_connected_valid(seq)
-        assert is_connected_graphical(seq) == expected, seq
+        assert _valid_canonical(seq) == expected, seq
         verdicts.append(expected)
     assert 0 < sum(verdicts) < len(verdicts)
 

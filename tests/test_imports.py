@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -115,3 +116,30 @@ def test_every_open_names_utf8_or_binary():
             if not (binary or utf8):
                 loose.append(f"{path.name}:{node.lineno}")
     assert loose == []
+
+
+def test_every_public_name_has_a_caller():
+    # a public function or class that only tests call is code to delete: each
+    # must be read by the package outside __init__.py, read by a demo, or
+    # named in the README
+    package = Path(gridpatterns.__file__).resolve().parent
+    root = Path(__file__).resolve().parents[1]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
+    demos = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted((root / "demos").glob("*.py"))]
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in [*(tree for path, tree in trees.items() if path.name != "__init__.py"), *demos]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    uncalled = [
+        f"{path.name}:{node.name}"
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in read
+        and not re.search(rf"\b{node.name}\b", readme)
+    ]
+    assert uncalled == []

@@ -29,7 +29,7 @@ from gridpatterns.patterns import (
     write_degree_sequence_counts,
     write_patterns_file,
 )
-from gridpatterns.synthnet import random_tree_network
+from gridpatterns.synthnet import synthetic_network
 
 MINUTE = datetime(2020, 1, 1, 0, 0)
 
@@ -135,7 +135,7 @@ def test_n_one_plus_special_cases():
 @pytest.mark.parametrize("lines", [3, 5, 9, 17])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_n_one_plus_counts_internal_buses_on_trees(lines, seed):
-    tree = random_tree_network(lines, seed=seed)
+    tree = synthetic_network("random-tree", lines, seed=seed)
     seq = degree_sequence(tree.lines)
     internal = sum(1 for degree in Counter(bus for line in tree.lines for bus in line).values() if degree >= 2)
     assert n_one_plus(seq) == internal
@@ -168,7 +168,7 @@ def test_p_one_plus_observed_accepts_patterns():
 def test_p_one_plus_in_unit_interval_for_tree_corpora():
     corpus = []
     for seed in range(30):
-        tree = random_tree_network(3 + seed % 6, seed=seed)
+        tree = synthetic_network("random-tree", 3 + seed % 6, seed=seed)
         corpus.append(degree_sequence(tree.lines))
     value = p_one_plus_observed(corpus)
     assert 0.0 <= value <= 1.0

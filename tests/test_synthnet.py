@@ -12,14 +12,8 @@ from gridpatterns.generator import GeneratorConfig
 from gridpatterns.ingest import group_into_generations
 from gridpatterns.network import Network, build_network_from_outages, write_network_csv
 from gridpatterns.patterns import extract_patterns
-from gridpatterns.synthnet import (
-    NETWORK_KINDS,
-    ba_like_network,
-    grid_mesh_network,
-    random_tree_network,
-    synthetic_history,
-    synthetic_network,
-)
+from gridpatterns import synthnet
+from gridpatterns.synthnet import NETWORK_KINDS, synthetic_history, synthetic_network
 from gridpatterns.zipf import ZipfModel
 
 
@@ -32,25 +26,25 @@ def test_exact_line_count_and_connectivity(kind, lines):
 
 
 @pytest.mark.parametrize(
-    "builder, lines, fraction, digest",
+    "kind, lines, fraction, digest",
     [
         # 5 lines peel a leaf; 300 and 2000 lines trim cycle edges off a
         # spanning tree
-        pytest.param(grid_mesh_network, 5, 0.0, "51493c5c70a3f9f4e2fd96abe18b401d7cb48fdc8aa316e9e5c838c52a92b91e", id="grid-mesh-5"),
-        pytest.param(grid_mesh_network, 300, 0.1, "03dcaefa38cb7d9c7bc4b00fdc8a77dbe26e74637587c4727a430cf7130c953e", id="grid-mesh-300"),
-        pytest.param(grid_mesh_network, 2000, 0.1, "ab674bdf2e481ed44d2c8d3d2fc55346719f3c18adea2f0c98d9dc51f05d344c", id="grid-mesh-2000"),
-        pytest.param(random_tree_network, 200, 0.0, "249d3c543565ebbf688e91e950bc479e24d6c3645030a79dc3a9f4732568ed06", id="random-tree-200"),
-        pytest.param(ba_like_network, 200, 0.0, "556d916e5ccc03605075b87e610335798288bbf94b967f58e17ad97e87c754b2", id="ba-like-200"),
+        pytest.param("grid-mesh", 5, 0.0, "51493c5c70a3f9f4e2fd96abe18b401d7cb48fdc8aa316e9e5c838c52a92b91e", id="grid-mesh-5"),
+        pytest.param("grid-mesh", 300, 0.1, "03dcaefa38cb7d9c7bc4b00fdc8a77dbe26e74637587c4727a430cf7130c953e", id="grid-mesh-300"),
+        pytest.param("grid-mesh", 2000, 0.1, "ab674bdf2e481ed44d2c8d3d2fc55346719f3c18adea2f0c98d9dc51f05d344c", id="grid-mesh-2000"),
+        pytest.param("random-tree", 200, 0.0, "249d3c543565ebbf688e91e950bc479e24d6c3645030a79dc3a9f4732568ed06", id="random-tree-200"),
+        pytest.param("ba-like", 200, 0.0, "556d916e5ccc03605075b87e610335798288bbf94b967f58e17ad97e87c754b2", id="ba-like-200"),
     ],
 )
-def test_network_bytes_are_pinned(tmp_path, builder, lines, fraction, digest):
+def test_network_bytes_are_pinned(tmp_path, kind, lines, fraction, digest):
     path = tmp_path / "network.csv"
-    write_network_csv(path, builder(lines, fraction, seed=0))
+    write_network_csv(path, synthetic_network(kind, lines, fraction, seed=0))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_grid_mesh_is_meshed():
-    net = grid_mesh_network(480)
+    net = synthetic_network("grid-mesh", 480)
     # 16x16 grid fits exactly; every bus has degree 2..4 and there are
     # many independent cycles
     assert net.n_lines == 480
@@ -66,18 +60,18 @@ def test_grid_mesh_is_meshed():
 def test_grid_mesh_partial_still_connected():
     # sizes that do not match a full grid exercise the trimming path
     for lines in (13, 97, 300):
-        net = grid_mesh_network(lines, seed=3)
+        net = synthetic_network("grid-mesh", lines, seed=3)
         assert net.n_lines == lines
 
 
 def test_random_tree_is_a_tree():
-    net = random_tree_network(60, seed=9)
+    net = synthetic_network("random-tree", 60, seed=9)
     assert net.n_lines == 60
     assert net.n_buses == 61
 
 
 def test_ba_like_has_heavy_hub():
-    net = ba_like_network(200, seed=7)
+    net = synthetic_network("ba-like", 200, seed=7)
     degrees = Counter()
     for a, b in net.lines:
         degrees[a] += 1
@@ -111,6 +105,27 @@ def test_synthetic_network_determinism_and_validation():
         synthetic_network("grid-mesh", 0)
     with pytest.raises(ValueError):
         synthetic_network("grid-mesh", 10, multi_circuit_fraction=1.5)
+
+
+@pytest.mark.parametrize(
+    "kind, lines, fraction",
+    [("ring", 10, 0.0)]
+    + [
+        (kind, lines, fraction)
+        for kind in NETWORK_KINDS
+        for lines, fraction in [(0, 0.0), (2.5, 0.0), (float("nan"), 0.0), (10, -0.1), (10, 1.5), (10, float("nan"))]
+    ],
+)
+def test_bad_arguments_fail_before_any_build(monkeypatch, kind, lines, fraction):
+    # the checks come before the build, which for a large ba-like network
+    # takes hours
+    def refuse(lines, rng):
+        raise AssertionError("a builder ran on bad arguments")
+
+    for name in NETWORK_KINDS:
+        monkeypatch.setitem(synthnet._EDGE_BUILDERS, name, refuse)
+    with pytest.raises(ValueError):
+        synthetic_network(kind, lines, fraction)
 
 
 def test_history_round_trip(mesh480):

@@ -183,23 +183,24 @@ class _FixedUniform:
 
 def test_sample_size_inverse_transform_cases():
     model = ZipfModel(4.09)
+    draw = lambda u, k_max: model.sample_sizes(_FixedUniform([u]), k_max, 1)[0]
     # pmf(1) ~= 0.929: u below it gives 1, just above gives 2
-    assert model.sample_size(_FixedUniform([0.5]), 100) == 1
-    assert model.sample_size(_FixedUniform([0.95]), 100) == 2
+    assert draw(0.5, 100) == 1
+    assert draw(0.95, 100) == 2
     # truncation collapses the far tail onto k_max
-    assert model.sample_size(_FixedUniform([0.9999]), 3) == 3
-    assert model.sample_size(_FixedUniform([0.0]), 100) == 1
+    assert draw(0.9999, 3) == 3
+    assert draw(0.0, 100) == 1
     # k_max 1 forces single-line patterns for any draw
-    assert model.sample_size(_FixedUniform([0.999999]), 1) == 1
+    assert draw(0.999999, 1) == 1
     with pytest.raises(ValueError):
-        model.sample_size(_FixedUniform([0.5]), 0)
+        draw(0.5, 0)
 
 
 def test_sample_sizes_vectorized_matches_scalar_path():
     model = ZipfModel(4.09)
     batch = model.sample_sizes(substream(3), 50, 64)
     rng = substream(3)
-    singles = [model.sample_size(rng, 50) for _ in range(64)]
+    singles = [int(model._sizes(rng.random(), 50)) for _ in range(64)]
     assert batch.tolist() == singles
 
 
