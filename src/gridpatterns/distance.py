@@ -138,6 +138,25 @@ def _alignment_bound(a: DegreeSequence, b: DegreeSequence) -> int:
     return 2 * adds - delta
 
 
+def _tight_walk(a: DegreeSequence, b: DegreeSequence, lower: int) -> bool:
+    """Whether ``lower`` tight moves lead from ``a`` to ``b``.
+
+    Each step goes to the first neighbour whose alignment bound to ``b`` is
+    one below the current node's.  Reaching ``b`` in ``lower`` steps is a
+    real path as long as a lower bound on every path, so ``lower`` is then
+    the exact distance.  False when some step finds no such neighbour.
+    """
+    node = a
+    for left in range(lower - 1, -1, -1):
+        for nb in _neighbors(node):
+            if _alignment_bound(nb, b) == left:
+                node = nb
+                break
+        else:
+            return False
+    return node == b
+
+
 def _bounded_search(a, b, lower, upper) -> int:
     """Exact shortest-path length given a known path of length ``upper``.
 
@@ -182,15 +201,21 @@ class SequenceGraph:
 
     The nodes are every connected-graphical degree sequence, so a distance
     is the true one-line-edit metric.  Each distance starts from the
-    counting lower bound; a bounded best-first search on depth plus bound
-    settles the pairs the bound does not decide outright, with ties going
-    to the deeper node.  Pair results are memoized on the instance;
-    validity verdicts and neighbour tuples depend on the sequence alone, so
-    they are memoized process-wide and shared by every instance.
+    counting lower bound of :func:`_alignment_bound`.  A walk of tight
+    moves, each lowering the bound to the target by exactly one, then tries
+    to reach the target in that many steps; when it does, the bound is the
+    distance (:func:`_tight_walk`).  Only when a step finds no tight move
+    does a bounded best-first search on depth plus bound settle the pair,
+    with ties going to the deeper node.  ``settled_by`` counts the pairs
+    each of the two settled, under ``"walk"`` and ``"search"``.  Pair
+    results are memoized on the instance; validity verdicts and neighbour
+    tuples depend on the sequence alone, so they are memoized process-wide
+    and shared by every instance.
     """
 
     def __init__(self):
         self._pairs: dict[tuple[DegreeSequence, DegreeSequence], int] = {}
+        self.settled_by: collections.Counter[str] = collections.Counter()
 
     def distance(self, a: Sequence[int], b: Sequence[int]) -> int:
         """Shortest one-line-edit path length between two sequences."""
@@ -202,9 +227,15 @@ class SequenceGraph:
         key = (ca, cb) if ca <= cb else (cb, ca)
         hit = self._pairs.get(key)
         if hit is None:
-            # removals down to a single line and additions back up form a
-            # genuine path, so la + lb - 2 always bounds above
-            hit = _bounded_search(ca, cb, _alignment_bound(ca, cb), (sum(ca) + sum(cb)) // 2 - 2)
+            lower = _alignment_bound(ca, cb)
+            if _tight_walk(ca, cb, lower):
+                hit = lower
+                self.settled_by["walk"] += 1
+            else:
+                # removals down to a single line and additions back up form
+                # a genuine path, so la + lb - 2 always bounds above
+                hit = _bounded_search(ca, cb, lower, (sum(ca) + sum(cb)) // 2 - 2)
+                self.settled_by["search"] += 1
             self._pairs[key] = hit
         return hit
 

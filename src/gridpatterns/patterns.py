@@ -35,14 +35,18 @@ class Pattern:
         for line in self.lines:
             if not (isinstance(line, tuple) and len(line) == 2 and line[0] < line[1]):
                 raise ValueError(f"line {line!r} is not in canonical form")
-        if len(self.lines) > 1 and len(components(self.lines)) > 1:
-            raise ValueError("pattern lines do not form a connected subgraph")
+        _check_connected(self.lines)
 
     def __len__(self) -> int:
         return len(self.lines)
 
     def __iter__(self):
         return iter(self.lines)
+
+
+def _check_connected(lines: frozenset[Line]) -> None:
+    if len(lines) > 1 and len(components(lines)) > 1:
+        raise ValueError("pattern lines do not form a connected subgraph")
 
 
 def _trusted_pattern(lines: frozenset[Line], source_minute: datetime | None = None) -> Pattern:
@@ -68,6 +72,8 @@ def split_into_patterns(group: GenerationGroup, network: Network) -> list[Patter
     extra = group.lines - network.line_set
     if extra:
         raise ValueError(f"generation references lines outside the network: {sorted(extra)[:3]}")
+    if len(group.lines) == 1:  # most generations; one line is one component
+        return [_trusted_pattern(frozenset(group.lines), group.minute)]
     # lines are canonical, so a component's smallest line starts with its
     # smallest bus, and the components already come in smallest-line order
     return [_trusted_pattern(frozenset(lines), group.minute) for lines, _ in components(group.lines)]
@@ -254,7 +260,9 @@ def read_patterns_file(path) -> list[Pattern]:
     """Read a pattern file written by :func:`write_patterns_file`.
 
     Blank lines are skipped.  Other lines keep their spaces, which belong to
-    the bus names, just as in the network file.
+    the bus names, just as in the network file.  :func:`parse_pattern`
+    already yields a non-empty set of canonical lines, so of the checks of
+    ``Pattern`` only connectivity runs here.
     """
     out: list[Pattern] = []
     with open(path, encoding="utf-8") as fh:
@@ -263,7 +271,9 @@ def read_patterns_file(path) -> list[Pattern]:
             if not text.strip():
                 continue
             try:
-                out.append(Pattern(parse_pattern(text)))
+                lines = parse_pattern(text)
+                _check_connected(lines)
+                out.append(_trusted_pattern(lines))
             except ValueError as exc:
                 raise InputFormatError(f"{path}: line {lineno}: {exc}") from exc
     return out

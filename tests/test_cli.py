@@ -488,6 +488,28 @@ def test_ingest_unwritable_bus_name_exit_2(tmp_path, capsys):
     assert not (tmp_path / "out" / "network.csv").exists()
 
 
+def test_ingest_then_extract_before_year_1000(tmp_path):
+    # the written minute is zero-padded to four year digits, so extract
+    # reads back what ingest wrote
+    outages = tmp_path / "outages.csv"
+    outages.write_text(
+        "timestamp,from_bus,to_bus,circuit_id,automatic\n"
+        "0999-01-01 00:00,A,B,1,auto\n"
+        "0999-01-01 00:00,B,C,1,auto\n"
+    )
+    assert _run("ingest", "--outages", outages, "--out", tmp_path / "ingest") == 0
+    generations = tmp_path / "ingest" / "generations.csv"
+    assert generations.read_text().splitlines()[1:] == ["0999-01-01 00:00,A,B,1", "0999-01-01 00:00,B,C,1"]
+    assert (
+        _run(
+            "extract", "--generations", generations, "--network", tmp_path / "ingest" / "network.csv",
+            "--out", tmp_path / "extract",
+        )
+        == 0
+    )
+    assert (tmp_path / "extract" / "patterns.txt").read_text() == "A-B;B-C\n"
+
+
 def test_ingest_no_automatic_rows_exit_3(tmp_path):
     manual = tmp_path / "outages.csv"
     manual.write_text(

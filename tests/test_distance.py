@@ -3,6 +3,7 @@ independent oracles (see seq_oracle)."""
 
 import itertools
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,20 +20,27 @@ from seq_oracle import (
     valid_sequences,
 )
 
+from gridpatterns import distance
 from gridpatterns.distance import (
     PatternDistribution,
     SequenceGraph,
     TransportSolver,
     empirical_distribution,
+    _alignment_bound,
+    _bounded_search,
     _moves,
     _north_west_cost,
+    _tight_walk,
     _valid_canonical,
     sequence_distance,
     sequence_neighbors,
     wasserstein,
 )
 from gridpatterns.errors import DegenerateDataError
+from gridpatterns.generator import GeneratorConfig, generate_ensemble
 from gridpatterns.patterns import Pattern, line_count
+from gridpatterns.synthnet import synthetic_network
+from gridpatterns.zipf import ZipfModel
 
 
 def all_candidates(lines):
@@ -196,8 +204,6 @@ def test_distance_matrix_matches_pairwise():
 
 
 def test_distances_where_internal_bounds_disagree():
-    from gridpatterns.distance import _alignment_bound
-
     # chain of 4 vs star of 4: flattening a degree-4 hub takes 4 edits, and
     # the top-degree climb term makes the counting bound tight on its own
     chain4, star4 = (2, 2, 2, 1, 1), (4, 1, 1, 1, 1)
@@ -219,6 +225,63 @@ def test_distances_where_internal_bounds_disagree():
     assert _alignment_bound(a, b) == 6
     assert sequence_distance(a, b) == 6
     assert oracle_distance(a, b, max_lines=12) == 6
+
+
+def _quickstart_support():
+    """The degree sequences of two quick-start-sized ensembles: 5000
+    patterns each at the fitted parameters, on the 300-line mesh."""
+    network = synthetic_network("grid-mesh", 300, multi_circuit_fraction=0.1, seed=5)
+    patterns = [
+        g.pattern
+        for seed in (1, 2)
+        for g in generate_ensemble(network, GeneratorConfig(ZipfModel(4.0975), 0.3438, p_circuits=0.0744, seed=seed), 5000)
+    ]
+    return empirical_distribution(patterns).support
+
+
+def test_walk_settles_every_pair_of_a_quickstart_support():
+    support = _quickstart_support()
+    graph = SequenceGraph()
+    graph.distance_matrix(support, support)
+    n = len(support)
+    assert n > 15
+    assert graph.settled_by == {"walk": n * (n - 1) // 2}
+
+
+def test_stalled_walk_leaves_the_matrix_unchanged(monkeypatch):
+    support = _quickstart_support()
+    walked = SequenceGraph().distance_matrix(support, support)
+    monkeypatch.setattr(distance, "_tight_walk", lambda a, b, lower: False)
+    graph = SequenceGraph()
+    assert np.array_equal(graph.distance_matrix(support, support), walked)
+    n = len(support)
+    assert graph.settled_by == {"search": n * (n - 1) // 2}
+
+
+def test_walk_and_search_match_the_oracle_exhaustively():
+    # every pair of sequences with at most 7 lines (2 701 pairs, 16 of them
+    # with distance above the bound), against the search alone and against
+    # networkx BFS on a graph three lines taller; at 8 lines this takes
+    # about 3 s
+    nodes = [seq for lines in range(1, 8) for seq in valid_sequences(7)[lines]]
+    oracle = oracle_graph(10)
+    graph = SequenceGraph()
+    above = 0
+    for a in nodes:
+        truth = nx.single_source_shortest_path_length(oracle, a)
+        for b in nodes:
+            if a >= b:
+                continue
+            lower = _alignment_bound(a, b)
+            got = graph.distance(a, b)
+            assert got == _bounded_search(a, b, lower, line_count(a) + line_count(b) - 2) == truth[b], (a, b)
+            if got > lower:
+                # no walk of ``lower`` steps can reach b, so the search settles it
+                above += 1
+                assert not _tight_walk(a, b, lower), (a, b)
+    assert above == 16
+    assert graph.settled_by["search"] >= above
+    assert sum(graph.settled_by.values()) == len(nodes) * (len(nodes) - 1) // 2
 
 
 def test_empirical_distribution_counts():

@@ -1,14 +1,20 @@
 """Outage parsing, normalization, and grouping into generations."""
 
 import random
+import re
 from datetime import datetime
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gridpatterns.errors import InputFormatError
 from gridpatterns.ingest import (
+    TIMESTAMP_FORMAT,
     GenerationGroup,
     OutageRecord,
+    _format_minute,
+    _parse_minute,
     group_into_generations,
     load_alias_map,
     load_exclusions,
@@ -174,6 +180,88 @@ def test_generations_csv_round_trip(tmp_path):
     path = tmp_path / "generations.csv"
     write_generations_csv(path, groups)
     assert read_generations_csv(path) == groups
+
+
+def test_minutes_round_trip_over_every_year(tmp_path):
+    # written minutes are zero-padded to four year digits, so the readers
+    # read back every year a datetime can hold
+    records = [OutageRecord(datetime(year, 12, 31, 23, 59), "A", "B", "1") for year in range(1, 10000)]
+    path = tmp_path / "outages.csv"
+    write_outage_csv(path, records)
+    assert parse_outage_file(path).records == records
+    groups = group_into_generations(records)
+    write_generations_csv(path, groups)
+    assert read_generations_csv(path) == groups
+    assert path.read_text().splitlines()[1] == "0001-12-31 23:59,A,B,1"
+
+
+@pytest.mark.parametrize("minute", ["2020-01-01 24:00", "2020-02-30 00:00", "2020-01-01", "999-01-01 00:00"])
+def test_minute_readers_report_a_bad_minute_alike(tmp_path, minute):
+    message = f"line 3: bad timestamp '{minute}', expected YYYY-MM-DD HH:MM"
+    outages = write_csv(tmp_path, f"2020-01-01 00:00,A,B,1,auto\n {minute} ,A,B,1,auto\n")
+    with pytest.raises(InputFormatError, match=f"^{re.escape(f'{outages}: {message}')}$"):
+        parse_outage_file(outages)
+    generations = tmp_path / "generations.csv"
+    generations.write_text(f"minute,from_bus,to_bus,circuits\n2020-01-01 00:00,A,B,1\n {minute} ,A,B,1\n")
+    with pytest.raises(InputFormatError, match=f"^{re.escape(f'{generations}: {message}')}$"):
+        read_generations_csv(generations)
+
+
+def _field(value: int, width: int, pad: str, digits: str) -> str:
+    text = str(value).rjust(width, pad)
+    return text.translate(str.maketrans("0123456789", digits))
+
+
+ASCII_DIGITS = "0123456789"
+FULL_WIDTH_DIGITS = "０１２３４５６７８９"
+
+
+@st.composite
+def minute_texts(draw):
+    """Minute-like strings: half in the zero-padded form the writers
+    produce, the other half with ASCII or full-width digits, one- or
+    two-digit and space-padded fields and whitespace runs between date and
+    time; values run out of range in both."""
+    padded = draw(st.booleans())
+    digits = ASCII_DIGITS if padded else draw(st.sampled_from([ASCII_DIGITS, FULL_WIDTH_DIGITS]))
+
+    def field(top: int, widths) -> str:
+        value = draw(st.integers(0, top))
+        if padded:
+            return _field(value, widths[-1], "0", digits)
+        return _field(value, draw(st.sampled_from(widths)), draw(st.sampled_from(["0", " "])), digits)
+
+    year = field(10000, [1, 3, 4])
+    month, day, hour, minute = (field(top, [1, 2]) for top in (13, 32, 25, 61))
+    space = " " if padded else draw(st.sampled_from([" ", "  ", "\t"]))
+    return f"{year}-{month}-{day}{space}{hour}:{minute}"
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(text=st.one_of(minute_texts(), st.text("0129-: \t", max_size=18)))
+@example(text="2020-01-01 24:00")
+@example(text="2020-01-01 00:60")
+@example(text="0000-01-01 00:00")
+@example(text="2020-1-1 1:1")
+@example(text="2020-01- 1 00:00")
+@example(text="２０２０-０１-０１ ００:００")
+def test_parse_minute_agrees_with_strptime(text):
+    try:
+        expected = datetime.strptime(text, TIMESTAMP_FORMAT)
+    except ValueError:
+        expected = None
+    try:
+        got = _parse_minute(text)
+    except ValueError as exc:
+        assert str(exc) == f"bad timestamp {text!r}, expected YYYY-MM-DD HH:MM"
+        got = None
+    assert got == expected
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(moment=st.datetimes(min_value=datetime(1000, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59)))
+def test_format_minute_agrees_with_strftime(moment):
+    assert _format_minute(moment) == moment.strftime(TIMESTAMP_FORMAT)
 
 
 @pytest.mark.parametrize("bus", ["A-X", "A;X", "A|X", "A,X"])
