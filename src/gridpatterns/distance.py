@@ -3,11 +3,13 @@
 Degree sequences of connected patterns form a graph: two sequences are
 adjacent when one arises from the other by adding or removing a single line.
 The edit distance between two sequences is the shortest path length in that
-graph, and the distance between two pattern sets is the Wasserstein distance
-between their empirical degree-sequence distributions under that ground
-metric, computed exactly as a minimum-cost flow by successive shortest paths.
-Validity verdicts and neighbour tuples depend on the sequence alone, so they
-are memoized process-wide; pair distances are memoized per
+infinite graph, found by one iterative-deepening search that a counting
+lower bound steers and prunes (:func:`_contour_search`).  The distance
+between two pattern sets is the Wasserstein distance between their
+empirical degree-sequence distributions under that ground metric, computed
+exactly as a minimum-cost flow by successive shortest paths.  Validity
+verdicts and neighbour tuples depend on the sequence alone, so they are
+memoized process-wide; pair distances are memoized per
 :class:`SequenceGraph`.
 """
 
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import collections
 import functools
-import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -138,84 +140,76 @@ def _alignment_bound(a: DegreeSequence, b: DegreeSequence) -> int:
     return 2 * adds - delta
 
 
-def _tight_walk(a: DegreeSequence, b: DegreeSequence, lower: int) -> bool:
-    """Whether ``lower`` tight moves lead from ``a`` to ``b``.
+def _contour_search(a: DegreeSequence, b: DegreeSequence) -> tuple[int, int]:
+    """Shortest path length between two distinct nodes, and the contour that found it.
 
-    Each step goes to the first neighbour whose alignment bound to ``b`` is
-    one below the current node's.  Reaching ``b`` in ``lower`` steps is a
-    real path as long as a lower bound on every path, so ``lower`` is then
-    the exact distance.  False when some step finds no such neighbour.
+    Iterative deepening on depth plus bound (Korf, *Artificial Intelligence*
+    27, 1985).  Contour ``k`` is a depth-first pass from ``a`` that prunes a
+    node met at ``depth`` when ``depth`` plus its alignment bound to ``b``
+    exceeds ``limit = lower + 2k``, ``lower`` being the bound from ``a``; it
+    returns as soon as a neighbour is ``b``.  The argument needs the bound
+    only to be admissible, never above the distance, not consistent:
+
+    - Parity.  Every path and the bound share the parity of the line-count
+      gap, so stepping the limit by 2 from ``lower`` skips no path length.
+    - Completeness.  ``depths`` holds the shallowest depth at which the pass
+      met each node, and a node met again no shallower is skipped.  Each
+      time a node's entry falls, the node is pruned or expanded there, and
+      expanding it meets every neighbour at most one deeper.  So if a path
+      ``a = p0, ..., pm = b`` with ``m <= limit`` went unfound, the pass met
+      each ``p_i`` at some depth ``e <= i``, where ``e`` plus its bound is
+      at most ``i + (m - i) <= limit``; so ``p_i`` was expanded, and
+      ``p_(m-1)`` met ``b``, a contradiction.
+    - Exactness.  Earlier contours found no path, so none is shorter than
+      ``limit``, and an arrival at ``b`` is no deeper, as its parent passed
+      the prune with a bound of at least 1.
+    - Termination.  With ``la`` and ``lb`` the line counts of ``a`` and
+      ``b``: an expanded node's bound covers its line-count gap to ``b``,
+      so it has at most ``limit + lb`` lines, and it is expanded again only
+      at a strictly shallower depth, so each pass ends.  Removing lines
+      from ``a`` down to one and adding lines up to ``b`` is a path of
+      length ``la + lb - 2``, so no limit passes that.
+
+    Neighbours come in :func:`_neighbors` order, additions first, so
+    contour 0 takes the first tight move at each step and backtracks only
+    where that move dead-ends.  The stack holds neighbour iterators, not
+    frames, as distances run past Python's recursion limit.
     """
-    node = a
-    for left in range(lower - 1, -1, -1):
-        for nb in _neighbors(node):
-            if _alignment_bound(nb, b) == left:
-                node = nb
-                break
-        else:
-            return False
-    return node == b
-
-
-def _bounded_search(a, b, lower, upper) -> int:
-    """Exact shortest-path length given a known path of length ``upper``.
-
-    Best-first search toward ``b`` with the alignment bound as an admissible
-    heuristic, reopening nodes on shorter arrivals.  Every estimate in the
-    queue shares the parity of the line-count gap, so once the cheapest open
-    estimate reaches ``best`` no path can undercut it and ``best`` is exact.
-    The graph is infinite, but the search still ends: a node is queued only
-    while its estimate is below ``best`` <= ``upper``, and the estimate
-    covers the line-count gap to ``b``, so every queued node has fewer than
-    ``upper`` + line_count(b) lines and only finitely many such nodes exist.
-    Deeper nodes win ties to reach ``b`` and tighten ``best`` early.
-    """
-    best = upper
-    depths = {a: 0}
-    heap = [(lower, 0, a)]
-    while heap:
-        estimate, neg_depth, node = heapq.heappop(heap)
-        if estimate >= best:
-            break
-        depth = -neg_depth
-        if depth > depths.get(node, depth):
-            continue  # superseded by a shorter arrival
-        for nb in _neighbors(node):
-            through = depth + 1
-            seen = depths.get(nb)
-            if seen is not None and seen <= through:
-                continue
-            depths[nb] = through
-            if nb == b:
-                if through < best:
-                    best = through
-                continue
-            guess = through + _alignment_bound(nb, b)
-            if guess < best:
-                heapq.heappush(heap, (guess, -through, nb))
-    return best
+    lower = _alignment_bound(a, b)
+    for contour in itertools.count():
+        limit = lower + 2 * contour
+        depths = {a: 0}
+        stack = [iter(_neighbors(a))]
+        while stack:
+            depth = len(stack)  # of the neighbours the top iterator yields
+            for nb in stack[-1]:
+                if nb == b:
+                    return depth, contour
+                if depths.get(nb, depth + 1) > depth:
+                    depths[nb] = depth
+                    if depth + _alignment_bound(nb, b) <= limit:
+                        stack.append(iter(_neighbors(nb)))
+                        break
+            else:
+                stack.pop()
 
 
 class SequenceGraph:
     """Degree-sequence edit distances over the whole, uncapped graph.
 
     The nodes are every connected-graphical degree sequence, so a distance
-    is the true one-line-edit metric.  Each distance starts from the
-    counting lower bound of :func:`_alignment_bound`.  A walk of tight
-    moves, each lowering the bound to the target by exactly one, then tries
-    to reach the target in that many steps; when it does, the bound is the
-    distance (:func:`_tight_walk`).  Only when a step finds no tight move
-    does a bounded best-first search on depth plus bound settle the pair,
-    with ties going to the deeper node.  ``settled_by`` counts the pairs
-    each of the two settled, under ``"walk"`` and ``"search"``.  Pair
-    results are memoized on the instance; validity verdicts and neighbour
-    tuples depend on the sequence alone, so they are memoized process-wide
-    and shared by every instance.
+    is the true one-line-edit metric.  Each pair is settled by one
+    iterative-deepening search on depth plus the counting lower bound of
+    :func:`_alignment_bound` (:func:`_contour_search`).  ``settled_by``
+    counts the pairs by the contour that settled them, 0 when the bound was
+    the distance.  Pair results are memoized on the instance; validity
+    verdicts and neighbour tuples depend on the sequence alone, so they are
+    memoized process-wide and shared by every instance.
     """
 
     def __init__(self):
         self._pairs: dict[tuple[DegreeSequence, DegreeSequence], int] = {}
-        self.settled_by: collections.Counter[str] = collections.Counter()
+        self.settled_by: collections.Counter[int] = collections.Counter()
 
     def distance(self, a: Sequence[int], b: Sequence[int]) -> int:
         """Shortest one-line-edit path length between two sequences."""
@@ -227,15 +221,8 @@ class SequenceGraph:
         key = (ca, cb) if ca <= cb else (cb, ca)
         hit = self._pairs.get(key)
         if hit is None:
-            lower = _alignment_bound(ca, cb)
-            if _tight_walk(ca, cb, lower):
-                hit = lower
-                self.settled_by["walk"] += 1
-            else:
-                # removals down to a single line and additions back up form
-                # a genuine path, so la + lb - 2 always bounds above
-                hit = _bounded_search(ca, cb, lower, (sum(ca) + sum(cb)) // 2 - 2)
-                self.settled_by["search"] += 1
+            hit, contour = _contour_search(ca, cb)
+            self.settled_by[contour] += 1
             self._pairs[key] = hit
         return hit
 
@@ -260,7 +247,7 @@ _GRAPH = SequenceGraph()
 
 def sequence_distance(a: Sequence[int], b: Sequence[int]) -> int:
     """Edit distance between two degree sequences: the true shortest path
-    length in the uncapped one-line-edit graph (see :func:`_bounded_search`
+    length in the uncapped one-line-edit graph (see :func:`_contour_search`
     for why the search ends)."""
     return _GRAPH.distance(a, b)
 

@@ -8,11 +8,9 @@ how often a split at least as distant as the observed one arises by chance.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import statistics
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Iterable
@@ -202,6 +200,10 @@ def evaluate_model(
     if processes == 1:
         results = [task(i) for i in range(repetitions)]
     else:
+        # imported here, so that no other process pays for loading them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         # spawned, not forked: forking a process that already runs threads
         # (numpy's among them) can deadlock the child
         with ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("spawn")) as pool:

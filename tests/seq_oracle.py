@@ -1,20 +1,25 @@
 """Independent oracles for degree-sequence validity, adjacency, and transport.
 
-Nothing here shares code with the package: validity comes from exhaustive
-connected-graph enumeration (small sizes), and from the Erdos-Gallai
-inequalities at every position and Havel-Hakimi reduction (larger sizes),
-adjacency from a padded-increment formulation, distances from networkx BFS,
-and optimal transport from enumeration of basic feasible solutions of the
-transport polytope.
+Validity comes from exhaustive connected-graph enumeration (small sizes),
+and from the Erdos-Gallai inequalities at every position and Havel-Hakimi
+reduction (larger sizes), adjacency from a padded-increment formulation,
+distances from networkx BFS, and optimal transport from enumeration of basic
+feasible solutions of the transport polytope; none of these shares code with
+the package.  Past networkx's reach, :func:`best_first_distance` checks the
+package's search alone: it walks the package's neighbours under the
+package's bound, but in best-first order.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from functools import lru_cache
 
 import networkx as nx
 import numpy as np
+
+from gridpatterns.distance import _alignment_bound, _neighbors
 
 
 @lru_cache(maxsize=None)
@@ -145,6 +150,45 @@ def oracle_graph(max_lines: int) -> nx.Graph:
 
 def oracle_distance(a: tuple[int, ...], b: tuple[int, ...], max_lines: int = 8) -> int:
     return nx.shortest_path_length(oracle_graph(max_lines), a, b)
+
+
+def best_first_distance(a, b, lower, upper) -> int:
+    """Exact shortest-path length given a known path of length ``upper``.
+
+    Best-first search toward ``b`` with the alignment bound as an admissible
+    heuristic, reopening nodes on shorter arrivals.  Every estimate in the
+    queue shares the parity of the line-count gap, so once the cheapest open
+    estimate reaches ``best`` no path can undercut it and ``best`` is exact.
+    The graph is infinite, but the search still ends: a node is queued only
+    while its estimate is below ``best`` <= ``upper``, and the estimate
+    covers the line-count gap to ``b``, so every queued node has fewer than
+    ``upper`` + line_count(b) lines and only finitely many such nodes exist.
+    Deeper nodes win ties to reach ``b`` and tighten ``best`` early.
+    """
+    best = upper
+    depths = {a: 0}
+    heap = [(lower, 0, a)]
+    while heap:
+        estimate, neg_depth, node = heapq.heappop(heap)
+        if estimate >= best:
+            break
+        depth = -neg_depth
+        if depth > depths.get(node, depth):
+            continue  # superseded by a shorter arrival
+        for nb in _neighbors(node):
+            through = depth + 1
+            seen = depths.get(nb)
+            if seen is not None and seen <= through:
+                continue
+            depths[nb] = through
+            if nb == b:
+                if through < best:
+                    best = through
+                continue
+            guess = through + _alignment_bound(nb, b)
+            if guess < best:
+                heapq.heappush(heap, (guess, -through, nb))
+    return best
 
 
 def brute_force_transport(cost: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:

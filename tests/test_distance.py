@@ -2,6 +2,7 @@
 independent oracles (see seq_oracle)."""
 
 import itertools
+import sys
 
 import networkx as nx
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seq_oracle import (
+    best_first_distance,
     brute_force_transport,
     connected_graph_sequences,
     eg_connected_valid,
@@ -20,17 +22,15 @@ from seq_oracle import (
     valid_sequences,
 )
 
-from gridpatterns import distance
 from gridpatterns.distance import (
     PatternDistribution,
     SequenceGraph,
     TransportSolver,
     empirical_distribution,
     _alignment_bound,
-    _bounded_search,
+    _contour_search,
     _moves,
     _north_west_cost,
-    _tight_walk,
     _valid_canonical,
     sequence_distance,
     sequence_neighbors,
@@ -212,19 +212,35 @@ def test_distances_where_internal_bounds_disagree():
 
     # growing a ring by two buses really takes 4 edits (open the ring, hang
     # two leaves, close it); the counting bound misses the open/close pair,
-    # so the search layer must settle it rather than trust the bound
+    # so the first contour fails and the second settles it
     ring3, ring5 = (2, 2, 2), (2, 2, 2, 2, 2)
+    graph = SequenceGraph()
     assert _alignment_bound(ring3, ring5) == 2
-    assert sequence_distance(ring3, ring5) == 4
+    assert graph.distance(ring3, ring5) == 4
+    assert graph.settled_by == {1: 1}
     assert oracle_distance(ring3, ring5, max_lines=7) == 4
 
     # the bound is tight here, but the search still has to construct a
-    # 6-edit path to certify it, far below the through-the-bottom fallback
+    # 6-edit path to certify it, far below the through-the-bottom path
     a = (3, 3, 2, 2, 2, 2, 1, 1, 1, 1)
     b = (6, 4, 1, 1, 1, 1, 1, 1, 1, 1)
+    graph = SequenceGraph()
     assert _alignment_bound(a, b) == 6
-    assert sequence_distance(a, b) == 6
+    assert graph.distance(a, b) == 6
+    assert graph.settled_by == {0: 1}
     assert oracle_distance(a, b, max_lines=12) == 6
+
+    # on each pair a pass from a meets some node too deep to reach b from it
+    # before meeting it again shallower on a shortest path; a search that
+    # skipped every node met before would return 6, 7 and 9 from a
+    cases = {
+        ((3, 3, 3, 2, 2, 2, 1), (3, 3, 3, 3)): (4, 0),
+        ((3, 2, 2, 2, 2, 2, 2, 1), (4, 3, 3, 2, 2)): (5, 0),
+        ((2,) * 8, (4, 3, 3, 2, 2)): (7, 1),
+    }
+    for (a, b), (dist, contour) in cases.items():
+        assert _contour_search(a, b) == _contour_search(b, a) == (dist, contour)
+        assert oracle_distance(a, b, max_lines=12) == dist
 
 
 def _quickstart_support():
@@ -239,49 +255,69 @@ def _quickstart_support():
     return empirical_distribution(patterns).support
 
 
-def test_walk_settles_every_pair_of_a_quickstart_support():
+def test_first_contour_settles_every_pair_of_a_quickstart_support():
     support = _quickstart_support()
     graph = SequenceGraph()
     graph.distance_matrix(support, support)
     n = len(support)
     assert n > 15
-    assert graph.settled_by == {"walk": n * (n - 1) // 2}
+    assert graph.settled_by == {0: n * (n - 1) // 2}
 
 
-def test_stalled_walk_leaves_the_matrix_unchanged(monkeypatch):
-    support = _quickstart_support()
-    walked = SequenceGraph().distance_matrix(support, support)
-    monkeypatch.setattr(distance, "_tight_walk", lambda a, b, lower: False)
-    graph = SequenceGraph()
-    assert np.array_equal(graph.distance_matrix(support, support), walked)
-    n = len(support)
-    assert graph.settled_by == {"search": n * (n - 1) // 2}
-
-
-def test_walk_and_search_match_the_oracle_exhaustively():
-    # every pair of sequences with at most 7 lines (2 701 pairs, 16 of them
-    # with distance above the bound), against the search alone and against
+def test_contour_search_matches_the_oracle_exhaustively():
+    # every pair of sequences with at most 7 lines (2 701 pairs), against
     # networkx BFS on a graph three lines taller; at 8 lines this takes
-    # about 3 s
+    # about 1.5 s.  Exactly the 16 pairs with distance above the bound need a
+    # second contour, and each of them has a side with no degree-1 bus.
     nodes = [seq for lines in range(1, 8) for seq in valid_sequences(7)[lines]]
     oracle = oracle_graph(10)
     graph = SequenceGraph()
-    above = 0
     for a in nodes:
         truth = nx.single_source_shortest_path_length(oracle, a)
         for b in nodes:
             if a >= b:
                 continue
-            lower = _alignment_bound(a, b)
             got = graph.distance(a, b)
-            assert got == _bounded_search(a, b, lower, line_count(a) + line_count(b) - 2) == truth[b], (a, b)
-            if got > lower:
-                # no walk of ``lower`` steps can reach b, so the search settles it
-                above += 1
-                assert not _tight_walk(a, b, lower), (a, b)
-    assert above == 16
-    assert graph.settled_by["search"] >= above
-    assert sum(graph.settled_by.values()) == len(nodes) * (len(nodes) - 1) // 2
+            assert got == truth[b], (a, b)
+            if got > _alignment_bound(a, b):
+                assert 1 not in a or 1 not in b, (a, b)
+    assert graph.settled_by == {0: 2685, 1: 16}
+
+
+def _leafless_sequence(rng, lines: int, buses: int):
+    """A random connected-graphical sequence with every degree at least 2, or None."""
+    degrees = np.full(buses, 2)
+    np.add.at(degrees, rng.integers(0, buses, size=2 * (lines - buses)), 1)
+    seq = tuple(sorted(degrees.tolist(), reverse=True))
+    return seq if havel_hakimi_connected_valid(seq) else None
+
+
+def test_contour_search_matches_best_first_search_on_leafless_pairs():
+    # only pairs without a leaf on one side have needed a later contour, and
+    # at up to 30 lines they are beyond networkx; b lies within two lines
+    # and two buses of a, which keeps the distances small
+    rng = np.random.default_rng(2701)
+    graph = SequenceGraph()
+    pairs = set()
+    while len(pairs) < 200:
+        lines = int(rng.integers(3, 31))
+        buses = int(rng.integers(3, lines + 1))
+        lines_b = int(np.clip(lines + rng.integers(-2, 3), 3, 30))
+        buses_b = int(np.clip(buses + rng.integers(-2, 3), 3, lines_b))
+        a, b = _leafless_sequence(rng, lines, buses), _leafless_sequence(rng, lines_b, buses_b)
+        if a and b and a != b:
+            pairs.add((min(a, b), max(a, b)))
+    for a, b in sorted(pairs):
+        upper = line_count(a) + line_count(b) - 2
+        assert graph.distance(a, b) == best_first_distance(a, b, _alignment_bound(a, b), upper), (a, b)
+    assert graph.settled_by == {0: 149, 1: 51}
+
+
+def test_distance_deeper_than_the_recursion_limit():
+    # a single line grown into an 1 100-line chain, one added line a step
+    chain = (2,) * 1099 + (1, 1)
+    assert line_count(chain) == 1100 > sys.getrecursionlimit()
+    assert SequenceGraph().distance((1, 1), chain) == 1099
 
 
 def test_empirical_distribution_counts():

@@ -13,13 +13,15 @@ import gridpatterns
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy is a test dependency only; every process and spawned pool worker
-    # imports the package, so a stray scipy import costs each of them
+    # scipy is a test dependency only, and the pool modules serve only
+    # evaluate with more than one worker; every process and spawned pool
+    # worker imports the package, so a stray import of either costs each
     src = str(Path(gridpatterns.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    roots = ("scipy", "concurrent.futures", "multiprocessing")
     code = (
         "import sys, gridpatterns.cli; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        f"print(sorted(m for m in sys.modules if m in {roots} or m.startswith({tuple(r + '.' for r in roots)})))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
