@@ -22,11 +22,17 @@ Pattern i of an ensemble draws from stream ``(seed, i)``, and every draw
 is the package's own (``rng``).  Its first two draws, the seed line and the
 target, are computed for a block of 1024 streams at once as uint64 array
 arithmetic (:meth:`_Sampler.head`); growth and the circuit draws then go on
-from there on the pattern's :class:`rng.Stream`.  Calibration keeps the
-streams of just the patterns with target 3 or more, and with each grown
-pattern the interval of ``p_one_plus`` on which its draws fall the same
-way; an iterate regrows only the patterns whose intervals miss its
-parameter.
+from there on the pattern's :class:`rng.Stream`.  Only the patterns that
+draw again get a Stream: those with target 2 or more, and, when
+``p_circuits`` is positive, the one-line patterns on a multi-circuit line,
+whose one further draw is their circuit draw.  Every one-line pattern with
+the same line and circuit outcome is one shared, immutable
+:class:`GeneratedPattern`, and grown patterns without an extra circuit
+share one empty set, so most of a light-tailed ensemble costs a list slot
+per pattern.  Calibration keeps the streams of just the patterns with
+target 3 or more, and with each grown pattern the interval of
+``p_one_plus`` on which its draws fall the same way; an iterate regrows
+only the patterns whose intervals miss its parameter.
 """
 
 from __future__ import annotations
@@ -72,9 +78,15 @@ class GeneratorConfig:
         object.__setattr__(self, "seed", int(self.seed))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeneratedPattern:
-    """One generated pattern plus its extra-circuit outcomes."""
+    """One generated pattern plus its extra-circuit outcomes.
+
+    Instances are immutable and may be shared: :func:`generate_ensemble`
+    returns one object for all its one-line patterns on the same line with
+    the same circuit outcome, and one empty ``extra_circuits`` set for all
+    its patterns without an extra circuit.
+    """
 
     pattern: Pattern
     extra_circuits: frozenset[Line]
@@ -203,8 +215,6 @@ def _grow(network: Network, first: int, target: int, p_one_plus: float, rng: Str
     draws, the lines and the stream's final state are those at
     ``p_one_plus``.
     """
-    if target <= 1:
-        return {first}, -math.inf, math.inf
     ends = network.ends
     incident = network.incident
     grown: set[int] = set()
@@ -265,6 +275,10 @@ def _grow(network: Network, first: int, target: int, p_one_plus: float, rng: Str
     return grown, lo, hi
 
 
+# The extra circuits of every generated pattern that has none.
+_NO_LINES: frozenset[Line] = frozenset()
+
+
 def _with_circuits(sampler: _Sampler, ids: set[int], target: int, rng: Stream) -> GeneratedPattern:
     """A grown set of line ids as a GeneratedPattern; draws a double per multi-circuit line, in line order."""
     network, p = sampler.network, sampler.config.p_circuits
@@ -272,25 +286,47 @@ def _with_circuits(sampler: _Sampler, ids: set[int], target: int, rng: Stream) -
     extra = [line for line in lines if p > 0.0 and network.multiplicity[line] >= 2 and rng.random() < p]
     return GeneratedPattern(
         pattern=_trusted_pattern(frozenset(lines)),
-        extra_circuits=frozenset(extra),
+        extra_circuits=frozenset(extra) if extra else _NO_LINES,
         target_size=target,
         achieved_size=len(lines),
     )
 
 
+def _one_line(network: Network, line_id: int, extra: bool) -> GeneratedPattern:
+    """The one-line pattern on line ``line_id``, with its extra circuit or without."""
+    lines = frozenset((network.lines[line_id],))
+    return GeneratedPattern(_trusted_pattern(lines), lines if extra else _NO_LINES, 1, 1)
+
+
 def generate_ensemble(network: Network, config: GeneratorConfig, count: int) -> list[GeneratedPattern]:
     """Generate ``count`` patterns in one process, pattern i drawn from stream (seed, i) alone.
 
-    Raises ValueError for a count outside [0, 2**32), the streams one seed has.
+    Only patterns that draw again get a Stream, and equal one-line patterns
+    are one shared object.  Raises ValueError for a count outside
+    [0, 2**32), the streams one seed has.
     """
     if not 0 <= count < STREAMS:
         raise ValueError(f"count must lie in [0, 2**32), got {count}")
     sampler = _Sampler(network, config)
+    p = config.p_circuits
+    # per line id, whether a one-line pattern on it makes a circuit draw
+    draws = np.array([p > 0.0 and network.multiplicity[line] >= 2 for line in network.lines])
+    singles: dict[tuple[int, bool], GeneratedPattern] = {}
     out = []
     for head in sampler.heads(count):
-        for line_id, target, rng in zip(head.line_ids.tolist(), head.targets.tolist(), head.streams()):
-            ids, _, _ = _grow(network, line_id, target, config.p_one_plus, rng)
-            out.append(_with_circuits(sampler, ids, target, rng))
+        needs = (head.targets >= 2) | draws[head.line_ids]
+        streams = iter(head.streams(np.flatnonzero(needs)))
+        for line_id, target, need in zip(head.line_ids.tolist(), head.targets.tolist(), needs.tolist()):
+            rng = next(streams) if need else None
+            if target >= 2:
+                ids, _, _ = _grow(network, line_id, target, config.p_one_plus, rng)
+                out.append(_with_circuits(sampler, ids, target, rng))
+                continue
+            key = (line_id, rng is not None and rng.random() < p)
+            single = singles.get(key)
+            if single is None:
+                single = singles[key] = _one_line(network, *key)
+            out.append(single)
     return out
 
 
@@ -499,8 +535,18 @@ def format_generated_pattern(generated: GeneratedPattern) -> str:
 
 
 def write_generated_patterns(path, generated: Iterable[GeneratedPattern]) -> None:
-    """Write one generated pattern per line in input order."""
+    """Write one generated pattern per line in input order.
+
+    A one-line pattern's row is formatted once per line and circuit outcome.
+    """
+    rows: dict[tuple[frozenset[Line], bool], str] = {}
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for gp in generated:
-            fh.write(format_generated_pattern(gp))
-            fh.write("\n")
+            if gp.achieved_size > 1:
+                fh.write(format_generated_pattern(gp) + "\n")
+                continue
+            key = (gp.pattern.lines, not gp.extra_circuits)
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = format_generated_pattern(gp) + "\n"
+            fh.write(row)

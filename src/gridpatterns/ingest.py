@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Iterable, Mapping
 
-from .lines import Line, canonical_line, check_serializable_bus, read_table, write_table
+from .lines import Line, _bus_checker, canonical_line, check_serializable_bus, read_table, write_table
 
 TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M"
 OUTAGE_COLUMNS = ("timestamp", "from_bus", "to_bus", "circuit_id", "automatic")
@@ -150,12 +150,13 @@ def parse_outage_file(path, aliases: Mapping[str, str] | None = None) -> ParseRe
     raise InputFormatError naming the offending line.
     """
     result = ParseResult(records=[])
+    bus = _bus_checker(lambda raw: normalize_bus(raw, aliases))
 
     def parse(raw_ts: str, raw_from: str, raw_to: str, raw_circuit: str, raw_auto: str) -> None:
         ts = _parse_minute(raw_ts.strip())
         if raw_auto.strip().lower() not in AUTOMATIC_VALUES:
             result.dropped_non_automatic += 1
-        elif (from_bus := _bus(raw_from, aliases)) == (to_bus := _bus(raw_to, aliases)):
+        elif (from_bus := bus(raw_from)) == (to_bus := bus(raw_to)):
             result.dropped_self_loops += 1
         else:
             result.records.append(OutageRecord(ts, from_bus, to_bus, raw_circuit.strip() or DEFAULT_CIRCUIT_ID))
@@ -223,10 +224,11 @@ def read_generations_csv(path) -> list[GenerationGroup]:
     minute and line, are rejected here, with the row.
     """
     by_minute: dict[datetime, dict[Line, int]] = {}
+    bus = _bus_checker()
 
     def parse(raw_minute: str, from_bus: str, to_bus: str, raw_circuits: str) -> None:
         minute = _parse_minute(raw_minute.strip())
-        line = canonical_line(check_serializable_bus(from_bus), check_serializable_bus(to_bus))
+        line = canonical_line(bus(from_bus), bus(to_bus))
         circuits = int(raw_circuits)
         if circuits < 1:
             raise ValueError("circuits must be positive")

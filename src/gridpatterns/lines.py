@@ -54,6 +54,23 @@ def check_serializable_bus(name: str) -> str:
     return name
 
 
+def _bus_checker(normalize: Callable[[str], str] | None = None) -> Callable[[str], str]:
+    """``check_serializable_bus(normalize(raw))`` for one reader, worked out once per distinct raw name it accepts.
+
+    Files name far fewer buses than they have rows.  Only accepted names
+    are kept, so each row naming a rejected one raises the same error anew.
+    """
+    accepted: dict[str, str] = {}
+
+    def check(raw: str) -> str:
+        name = accepted.get(raw)
+        if name is None:
+            name = accepted[raw] = check_serializable_bus(normalize(raw) if normalize else raw)
+        return name
+
+    return check
+
+
 def format_line(line: Line) -> str:
     """Format a line as ``FROM-TO`` with endpoints in canonical order."""
     a, b = line

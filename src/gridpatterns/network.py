@@ -13,7 +13,7 @@ from typing import Iterable, Mapping
 
 from .errors import DegenerateDataError, InputFormatError
 from .ingest import OutageRecord
-from .lines import Line, canonical_line, check_serializable_bus, components, read_table, write_table
+from .lines import Line, _bus_checker, canonical_line, check_serializable_bus, components, read_table, write_table
 
 NETWORK_COLUMNS = ("from_bus", "to_bus", "multiplicity")
 
@@ -126,9 +126,10 @@ def read_network_csv(path) -> Network:
     Bus names the writers would reject are rejected here, with the row.
     """
     multiplicity: dict[Line, int] = {}
+    bus = _bus_checker()
 
     def parse(from_bus: str, to_bus: str, raw_count: str) -> None:
-        line = canonical_line(check_serializable_bus(from_bus), check_serializable_bus(to_bus))
+        line = canonical_line(bus(from_bus), bus(to_bus))
         count = int(raw_count)
         if line in multiplicity:
             raise ValueError(f"duplicate line {line}")

@@ -22,7 +22,7 @@ from .network import Network
 DegreeSequence = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pattern:
     """A connected set of simultaneously outaged lines."""
 

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import math
+import pickle
+import tracemalloc
 from bisect import bisect_left
 from collections import Counter, deque
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from scipy import stats
 import grow_oracle
 from test_rng import PCG_INC, fresh_state_with_output, generator_at, generator_state
 
+from gridpatterns import generator
 from gridpatterns.errors import CalibrationError
 from gridpatterns.generator import (
     CalibrationResult,
@@ -32,7 +37,14 @@ from gridpatterns.generator import (
 )
 from gridpatterns.lines import parse_line
 from gridpatterns.network import Network
-from gridpatterns.patterns import Pattern, _sequence_counts, degree_sequence, p_one_plus_observed, parse_pattern
+from gridpatterns.patterns import (
+    Pattern,
+    _sequence_counts,
+    _trusted_pattern,
+    degree_sequence,
+    p_one_plus_observed,
+    parse_pattern,
+)
 from gridpatterns.rng import Stream, _pcg64_states, substream
 from gridpatterns.synthnet import synthetic_network
 from gridpatterns.zipf import ZipfModel
@@ -108,6 +120,43 @@ def test_generated_pattern_validation():
     ok = GeneratedPattern(pat, frozenset({("A", "B")}), 5, 2)
     assert ok.saturated
     assert not GeneratedPattern(pat, frozenset(), 2, 2).saturated
+
+
+_CHAIN = frozenset({("A", "B"), ("B", "C")})
+
+
+@pytest.mark.parametrize(
+    "item",
+    [
+        Pattern(_CHAIN),
+        Pattern(_CHAIN, datetime(2020, 3, 1, 12, 5)),
+        GeneratedPattern(Pattern(_CHAIN), frozenset({("A", "B")}), 4, 2),
+    ],
+    ids=["pattern", "pattern-with-minute", "generated"],
+)
+def test_patterns_are_slotted_frozen_and_picklable(item):
+    # slots keep each shared or grown pattern to its fields alone
+    assert not hasattr(item, "__dict__")
+    for field in fields(item):
+        with pytest.raises(FrozenInstanceError):
+            setattr(item, field.name, getattr(item, field.name))
+        with pytest.raises(FrozenInstanceError):
+            delattr(item, field.name)
+    copy = pickle.loads(pickle.dumps(item))
+    assert copy == item
+    assert hash(copy) == hash(item)
+    if isinstance(item, Pattern):
+        moved = replace(item, source_minute=datetime(2021, 1, 1))
+        assert moved.source_minute == datetime(2021, 1, 1)
+        assert moved.lines == item.lines
+        assert _trusted_pattern(item.lines, item.source_minute) == item
+        with pytest.raises(ValueError):
+            replace(item, lines=frozenset({("A", "B"), ("C", "D")}))
+    else:
+        assert replace(item, target_size=2) == GeneratedPattern(item.pattern, item.extra_circuits, 2, 2)
+        assert not replace(item, target_size=2).saturated
+        with pytest.raises(ValueError):
+            replace(item, achieved_size=3)
 
 
 def test_single_line_network_always_single_line_patterns():
@@ -389,6 +438,83 @@ def test_one_line_patterns_draw_circuits_like_the_scalar_path(mesh480, p_circuit
         assert extra == len(doubled)
     else:
         assert 0 < extra < len(doubled)
+
+
+def _traced_peak(network: Network, config: GeneratorConfig, count: int) -> int:
+    """Peak bytes traced by ``tracemalloc`` while ``generate_ensemble`` runs and its result is alive."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ensemble = generate_ensemble(network, config, count)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ensemble) == count
+    return peak
+
+
+def test_one_line_patterns_cost_a_list_slot_each(mesh480):
+    # at s=19 nearly every pattern is one line; each of them shares its
+    # line's object, so an extra pattern costs its slot in the result list
+    # (8 bytes plus the list's over-allocation), where one object graph per
+    # pattern cost about 630
+    config = _config(19.0, 0.4, p_circuits=0.07, seed=3)
+    generate_ensemble(mesh480, config, 100)
+    per_pattern = (_traced_peak(mesh480, config, 50_000) - _traced_peak(mesh480, config, 10_000)) / 40_000
+    assert per_pattern <= 16
+
+
+def test_equal_one_line_patterns_are_one_object(mesh480):
+    ensemble = generate_ensemble(mesh480, _config(4.1, 0.4, p_circuits=0.5, seed=7), 3000)
+    shared: dict = {}
+    singles = [gp for gp in ensemble if gp.achieved_size == 1]
+    for gp in singles:
+        assert shared.setdefault((gp.pattern.lines, gp.extra_circuits), gp) is gp
+    assert len(shared) < len(singles) / 2
+    assert any(gp.extra_circuits for gp in singles)
+    # every pattern without an extra circuit, grown ones included, holds the same empty set
+    assert len({id(gp.extra_circuits) for gp in ensemble if not gp.extra_circuits}) == 1
+    assert any(gp.achieved_size > 1 and not gp.extra_circuits for gp in ensemble)
+
+
+@pytest.mark.parametrize("p_circuits", [0.0, 0.3])
+def test_streams_are_built_only_for_patterns_that_draw_again(mesh480, monkeypatch, p_circuits):
+    # a one-line pattern draws again only for its circuit, on a
+    # multi-circuit line when p_circuits is positive
+    built = []
+
+    class CountedStream(Stream):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(generator, "Stream", CountedStream)
+    config = _config(2.0, 0.4, p_circuits=p_circuits, seed=13)
+    ensemble = generate_ensemble(mesh480, config, 5000)
+    grown = sum(gp.target_size >= 2 for gp in ensemble)
+    drawn = sum(gp.target_size == 1 and mesh480.multiplicity[min(gp.pattern.lines)] >= 2 for gp in ensemble)
+    assert 0 < grown < len(ensemble) and drawn > 0
+    assert len(built) == grown + (drawn if p_circuits > 0 else 0)
+    monkeypatch.undo()
+    assert ensemble == [grow_oracle.generate_pattern(mesh480, config, substream(13, i)) for i in range(5000)]
+
+
+def test_written_rows_equal_each_pattern_formatted(tmp_path, mesh480):
+    # one-line rows come from a cache by line and circuit outcome; equal
+    # patterns built apart, with other targets, must write the same row
+    ensemble = generate_ensemble(mesh480, _config(3.0, 0.4, p_circuits=0.5, seed=9), 2000)
+    line = mesh480.multi_circuit_lines[0]
+    one = frozenset({line})
+    ensemble += [
+        GeneratedPattern(Pattern(one), frozenset(), 3, 1),
+        GeneratedPattern(Pattern(one), one, 1, 1),
+        GeneratedPattern(Pattern(one), frozenset(), 1, 1),
+    ]
+    path = tmp_path / "generated.txt"
+    write_generated_patterns(path, ensemble)
+    assert path.read_text(encoding="utf-8") == "".join(format_generated_pattern(gp) + "\n" for gp in ensemble)
 
 
 def test_forced_initial_line(star4):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gridpatterns import lines
 from gridpatterns.errors import InputFormatError
 from gridpatterns.ingest import (
     TIMESTAMP_FORMAT,
@@ -24,6 +25,7 @@ from gridpatterns.ingest import (
     write_generations_csv,
     write_outage_csv,
 )
+from gridpatterns.network import read_network_csv
 
 HEADER = "timestamp,from_bus,to_bus,circuit_id,automatic\n"
 
@@ -283,6 +285,32 @@ def test_generations_csv_rejects_unwritable_bus_names(tmp_path, bus):
     path.write_text(f'minute,from_bus,to_bus,circuits\n2020-01-01 00:00,"{bus}",B,1\n')
     with pytest.raises(InputFormatError, match="line 2"):
         read_generations_csv(path)
+
+
+def test_readers_check_each_distinct_raw_bus_name_once(tmp_path, monkeypatch):
+    # files name far fewer buses than they have rows; a raw name is
+    # normalised and checked at its first row, and a rejected name is
+    # reported at its own row
+    checked = []
+    check = lines.check_serializable_bus
+    monkeypatch.setattr(lines, "check_serializable_bus", lambda name: checked.append(name) or check(name))
+    rows = "".join(f"2020-01-01 00:{i:02d},{'a ' if i % 2 else 'A'},B{i % 3},1,auto\n" for i in range(30))
+    records = parse_outage_file(write_csv(tmp_path, rows)).records
+    assert len(records) == 30
+    assert sorted(checked) == ["A", "A", "B0", "B1", "B2"]
+    generations = tmp_path / "generations.csv"
+    write_generations_csv(generations, group_into_generations(records))
+    checked.clear()
+    assert read_generations_csv(generations) == group_into_generations(records)
+    assert sorted(checked) == ["A", "B0", "B1", "B2"]
+    network = tmp_path / "network.csv"
+    network.write_text("from_bus,to_bus,multiplicity\nA,B0,1\nA,B1,1\nB1,B2,2\n")
+    checked.clear()
+    assert read_network_csv(network).n_lines == 3
+    assert sorted(checked) == ["A", "B0", "B1", "B2"]
+    network.write_text('from_bus,to_bus,multiplicity\nA,B0,1\nA,B1,1\n"A;X",B2,1\n')
+    with pytest.raises(InputFormatError, match=r"line 4: bus name 'A;X' contains reserved character ';'"):
+        read_network_csv(network)
 
 
 def test_generations_csv_rejects_repeated_rows(tmp_path):
